@@ -26,6 +26,7 @@ def test_bench_table2_exchange(benchmark, spark, xdata, tmp_path_factory, spec):
 
     def run():
         out, rep = runner.run_exchange(spark, xdata, P, spec, store)
+        out.unpersist()
         return rep
 
     rep = benchmark.pedantic(run, rounds=1, iterations=1)

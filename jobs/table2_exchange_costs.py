@@ -47,7 +47,8 @@ def main(sf: float = 0.02) -> None:
     measured = []
     for spec in cost_model.ALL_SPECS:
         P = 27 if spec.levels == 3 else 16
-        _, rep = runner.run_exchange(spark, df, P, spec, store)
+        out, rep = runner.run_exchange(spark, df, P, spec, store)
+        out.unpersist()
         exp = alg.expected_requests(P, spec)
         measured.append(
             {

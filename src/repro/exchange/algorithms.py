@@ -92,6 +92,11 @@ def level_coord(x: int, dims: tuple[int, ...], level: int) -> int:
     return coords(x, dims)[level]
 
 
+def level_coords(xs, dims: tuple[int, ...], level: int):
+    """:func:`level_coord` of a whole numpy array of IDs at once."""
+    return xs // math.prod(dims[:level]) % dims[level]
+
+
 def group_id(p: int, dims: tuple[int, ...], level: int) -> int:
     """Linear index of p's level-``level`` group: its coordinates with the
     ``level`` dimension removed. Workers in the same group exchange with

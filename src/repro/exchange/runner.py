@@ -1,42 +1,54 @@
 """Spark-phased executor for the S3 exchange operators (paper §4.4, Alg 1-2).
 
-Every level of the exchange is one Spark job whose tasks are the serverless
-workers (``groupBy(worker).applyInPandas``); **all data moves through the
-simulated S3, never through Spark's own shuffle**, reproducing the paper's
-communication topology. The Spark action at the end of each phase is the
-barrier that the paper realises by polling S3 until all senders' files exist.
+Every phase of the exchange is one Spark job whose tasks are the serverless
+workers; **all data moves through the simulated S3, never through Spark's own
+shuffle**, reproducing the paper's communication topology. The Spark action at
+the end of each phase is the barrier that the paper realises by polling S3
+until all senders' files exist. Payloads are ``pyarrow.Table``s, stored as
+Arrow IPC.
 
 Phases for a k-level exchange:
 
-  0. *distribute*: each source worker writes its input share R_p ("in/w{p}");
-  1..k. *level l*: every worker (``spark.range(P)`` keeps empty workers
-     alive) reads the level-(l-1) files addressed to it (or its input share),
-     partitions the rows by the level-l coordinate of their partition ID, and
-     writes one file per group member (or one combined file under write
+  0. *distribute* (``groupBy(src).applyInArrow``): each source worker writes
+     its input share R_p ("in/w{p}");
+  1..k. *level l* (``spark.range(P).mapInArrow``, so empty workers run too):
+     every worker reads the level-(l-1) files addressed to it (or its input
+     share), splits the rows by the level-l coordinate of their partition ID,
+     and writes one file per group member (or one combined file under write
      combining — offsets in the key, discovered via LIST);
   k+1. *collect*: every worker reads its final files and returns the rows,
      which must now all satisfy ``partition_id == worker_id``.
 
-Per-phase request ledgers are written to a side channel (not billed — it
-stands outside the algorithm) and summed into an :class:`ExchangeReport`,
-which tests assert equals :func:`algorithms.expected_requests` exactly.
+Workers add their request ledgers to one Spark accumulator per phase, so the
+ledgers return with the phase's job; the input-share reads use their own
+client. The driver snapshots them into an :class:`ExchangeReport`, which
+tests assert equals :func:`algorithms.expected_requests` exactly.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
 import uuid
-from pathlib import Path
 
-import pandas as pd
+import numpy as np
+import pyarrow as pa
+from pyspark import AccumulatorParam
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
+from pyspark.sql.pandas.types import to_arrow_schema
+from pyspark.sql.types import IntegerType, StructField, StructType
 
 from ..s3.store import Ledger, NoSuchKey, S3Client, S3Store
 from . import algorithms as alg
 from . import naming, serde
 
-META_BUCKET = "xmeta"
+#: what the distribute and level phases return: rows handled per worker
+_COUNTS_DDL = "worker int, rows long"
+_COUNTS = pa.schema([("worker", pa.int32()), ("rows", pa.int64())])
+
+
+def _count(p: int, rows: pa.Table) -> pa.RecordBatch:
+    return pa.record_batch([[p], [rows.num_rows]], schema=_COUNTS)
 
 
 @dataclasses.dataclass
@@ -57,32 +69,25 @@ class ExchangeReport:
         return {"puts": self.ledger.puts, "gets": self.ledger.gets, "lists": self.ledger.lists}
 
 
-def _meta_dir(store_root: str, run_id: str) -> Path:
-    d = Path(store_root) / META_BUCKET / run_id
-    d.mkdir(parents=True, exist_ok=True)
-    return d
+class _LedgerSum(AccumulatorParam):
+    """Accumulates the workers' :class:`Ledger`s of one phase."""
 
+    def zero(self, value: Ledger) -> Ledger:
+        return Ledger()
 
-def _write_side_ledger(store_root: str, run_id: str, phase: str, worker: int, ledger: Ledger):
-    # side channel: raw file write, not an S3 request of the algorithm
-    p = _meta_dir(store_root, run_id) / f"{phase}-w{worker}.json"
-    p.write_text(ledger.to_json())
-
-
-def _read_side_ledgers(store_root: str, run_id: str, phase: str) -> list[Ledger]:
-    d = _meta_dir(store_root, run_id)
-    return [Ledger.from_json(p.read_text()) for p in sorted(d.glob(f"{phase}-w*.json"))]
+    def addInPlace(self, a: Ledger, b: Ledger) -> Ledger:
+        return a.merge(b)
 
 
 def _read_level_files(
     client: S3Client, run_id: str, level: int, p: int, dims: tuple, spec: alg.ExchangeSpec
-) -> list[pd.DataFrame]:
+) -> list[pa.Table]:
     """Read the level-``level`` parts addressed to worker ``p``."""
     d = dims[level]
     gid = alg.group_id(p, dims, level)
     bucket = naming.bucket_for_group(gid, spec.n_buckets)
     my = alg.level_coord(p, dims, level)
-    frames = []
+    tables = []
     if spec.write_combining and spec.offsets_mode == "filename":
         # one LIST discovers every sender's key, offsets included in the name
         keys = client.list(bucket, naming.group_prefix(run_id, level, gid))
@@ -93,7 +98,7 @@ def _read_level_files(
             off, length = serde.part_range(lengths, my)
             blob = client.get(bucket, key, offset=off, length=length)
             if length:
-                frames.append(serde.bytes_to_frame(blob))
+                tables.append(serde.bytes_to_frame(blob))
     elif spec.write_combining:  # sidecar offsets file: two GETs per sender
         for s in range(d):
             lengths = json.loads(
@@ -104,14 +109,14 @@ def _read_level_files(
                 bucket, naming.sidecar_data_key(run_id, level, gid, s), offset=off, length=length
             )
             if length:
-                frames.append(serde.bytes_to_frame(blob))
+                tables.append(serde.bytes_to_frame(blob))
     else:
         # readiness poll: one LIST per worker (Table 2's O(P) #lists)
         client.list(bucket, naming.group_prefix(run_id, level, gid))
         for s in range(d):
             blob = client.get(bucket, naming.part_key(run_id, level, gid, s, my))
-            frames.append(serde.bytes_to_frame(blob))
-    return frames
+            tables.append(serde.bytes_to_frame(blob))
+    return tables
 
 
 def _write_level_files(
@@ -121,19 +126,21 @@ def _write_level_files(
     p: int,
     dims: tuple,
     spec: alg.ExchangeSpec,
-    rows: pd.DataFrame,
+    rows: pa.Table,
 ):
-    """Partition ``rows`` by the level coordinate of pid and write all parts
+    """Split ``rows`` by the level coordinate of pid and write all parts
     (empty parts included — receivers poll for every sender's file)."""
     d = dims[level]
     gid = alg.group_id(p, dims, level)
     bucket = naming.bucket_for_group(gid, spec.n_buckets)
     me = alg.level_coord(p, dims, level)
-    target = rows["pid"].map(lambda x: alg.level_coord(int(x), dims, level)) if len(rows) else None
-    parts = []
-    for v in range(d):
-        part = rows[target == v] if len(rows) else rows
-        parts.append(serde.frame_to_bytes(part))
+    # one stable sort by target makes every receiver's part a contiguous slice
+    target = alg.level_coords(rows["pid"].to_numpy(), dims, level)
+    rows = rows.take(np.argsort(target, kind="stable"))
+    sizes = np.bincount(target, minlength=d)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    parts = [serde.frame_to_bytes(rows.slice(a, b - a)) for a, b in zip(starts, ends)]
     if spec.write_combining:
         blob, lengths = serde.combine(parts)
         if spec.offsets_mode == "filename":
@@ -164,122 +171,112 @@ def run_exchange(
     record ends on the worker given by ``hash(key) % n_workers``.
 
     Returns the collected output (with ``pid`` and ``worker`` columns, which
-    must agree) and the request accounting.
+    must agree) and the request accounting. The output is cached; the caller
+    owns it and should ``unpersist()`` it when done. The report is a snapshot:
+    re-evaluating the output reads the store again but does not change it.
     """
     run_id = run_id or uuid.uuid4().hex[:8]
     dims = alg.grid_dims(n_workers, spec.levels)
     for b in naming.exchange_buckets(spec.n_buckets):
         store.create_bucket(b)
-    store.create_bucket(META_BUCKET)
     root = str(store.root)
+    sc = spark.sparkContext
+    input_acc = sc.accumulator(Ledger(), _LedgerSum())
+    level_accs = [sc.accumulator(Ledger(), _LedgerSum()) for _ in range(spec.levels)]
+    collect_acc = sc.accumulator(Ledger(), _LedgerSum())
 
     # partition ID and source-worker assignment (both hash-based, as in Alg 1)
-    df2 = df.withColumn(
-        "pid", F.pmod(F.xxhash64(F.col(key_col)), F.lit(n_workers)).cast("int")
-    ).withColumn(
-        "src", F.pmod(F.xxhash64(F.col(key_col), F.lit(run_id)), F.lit(n_workers)).cast("int")
+    k = F.col(key_col)
+    df2 = df.withColumns(
+        {
+            "pid": F.pmod(F.xxhash64(k), F.lit(n_workers)).cast("int"),
+            "src": F.pmod(F.xxhash64(k, F.lit(run_id)), F.lit(n_workers)).cast("int"),
+        }
     )
-    template = serde.frame_to_bytes(df2.drop("src").limit(0).toPandas())
+    schema = StructType([f for f in df2.schema.fields if f.name != "src"])
+    # Workers without rows still exchange typed empty tables. Spark converts
+    # an empty frame of the payload schema for them; no job runs over df.
+    empty = spark.createDataFrame(sc.emptyRDD(), schema).toPandas()
+    template = pa.Table.from_pandas(
+        empty, schema=to_arrow_schema(schema), preserve_index=False
+    ).replace_schema_metadata()
     in_bucket = naming.bucket_for_group(0, spec.n_buckets)
 
+    def _on_workers(fn, out_schema) -> DataFrame:
+        """One job over all worker IDs, ``fn(p)`` yielding each one's batches."""
+
+        def tasks(batches):
+            for batch in batches:
+                for p in batch.column(0).to_pylist():
+                    yield from fn(p)
+
+        return spark.range(n_workers).mapInArrow(tasks, out_schema)
+
+    def _received(client: S3Client, level: int, p: int) -> pa.Table:
+        tables = _read_level_files(client, run_id, level, p, dims, spec)
+        return pa.concat_tables(tables) if tables else template
+
     # ---- phase 0: distribute input shares (the relation R of Algorithm 1)
-    def _distribute(key, pdf):
-        p = int(key[0])
+    def _distribute(key, table):
+        p = key[0].as_py()
         client = S3Client(root)
-        client.put(in_bucket, naming.input_key(run_id, p), serde.frame_to_bytes(pdf.drop(columns=["src"])))
-        _write_side_ledger(root, run_id, "in", p, client.ledger)
-        return pd.DataFrame({"worker": [p], "rows": [len(pdf)]})
+        share = serde.frame_to_bytes(table.drop_columns(["src"]))
+        client.put(in_bucket, naming.input_key(run_id, p), share)
+        input_acc.add(client.ledger)
+        return pa.Table.from_batches([_count(p, table)])
 
-    n_in = (
-        df2.groupBy("src")
-        .applyInPandas(_distribute, schema="worker int, rows long")
-        .agg(F.sum("rows"))
-        .collect()[0][0]
-    )
-
-    workers = spark.range(n_workers).withColumnRenamed("id", "worker")
+    n_in = sum(r.rows for r in df2.groupBy("src").applyInArrow(_distribute, _COUNTS_DDL).collect())
 
     # ---- level phases: read previous, partition, write this level
     def _level_phase(level):
-        def fn(key, pdf):
-            p = int(key[0])
+        def fn(p):
             client = S3Client(root)
             if level == 0:
+                reader = S3Client(root)  # the input share belongs to the scan
                 try:
-                    rows = serde.bytes_to_frame(client.get(in_bucket, naming.input_key(run_id, p)))
-                    input_gets = 1
+                    rows = serde.bytes_to_frame(reader.get(in_bucket, naming.input_key(run_id, p)))
                 except NoSuchKey:  # source worker had no rows: nothing billed
-                    rows = serde.bytes_to_frame(template)
-                    input_gets = 0
+                    rows = template
+                input_acc.add(reader.ledger)
             else:
-                frames = _read_level_files(client, run_id, level - 1, p, dims, spec)
-                rows = (
-                    pd.concat(frames, ignore_index=True)
-                    if frames
-                    else serde.bytes_to_frame(template)
-                )
-                input_gets = 0
+                rows = _received(client, level - 1, p)
             _write_level_files(client, run_id, level, p, dims, spec, rows)
-            # split the ledger: the phase-0 input GET belongs to the scan,
-            # not to the exchange accounting
-            if input_gets:
-                inl = Ledger()
-                inl.record("gets", in_bucket, 0)
-                inl.gets = input_gets
-                client.ledger.gets -= input_gets
-                client.ledger.per_bucket[in_bucket]["gets"] -= input_gets
-                _write_side_ledger(root, run_id, "inget", p, inl)
-            _write_side_ledger(root, run_id, f"lvl{level}", p, client.ledger)
-            return pd.DataFrame({"worker": [p], "rows": [len(rows)]})
+            level_accs[level].add(client.ledger)
+            yield _count(p, rows)
 
         return fn
 
     for level in range(spec.levels):
-        workers.groupBy("worker").applyInPandas(
-            _level_phase(level), schema="worker int, rows long"
-        ).count()  # the action is the barrier
+        # the action is the barrier
+        moved = sum(r.rows for r in _on_workers(_level_phase(level), _COUNTS_DDL).collect())
+        if moved != n_in:
+            raise RuntimeError(f"level {level} moved {moved} of {n_in} rows")
 
     # ---- collect phase: read the final level's files
-    out_schema = df2.drop("src").withColumn("worker", F.lit(0)).schema
-
-    def _collect(key, pdf):
-        p = int(key[0])
+    def _collect(p):
         client = S3Client(root)
-        frames = _read_level_files(client, run_id, spec.levels - 1, p, dims, spec)
-        rows = pd.concat(frames, ignore_index=True) if frames else serde.bytes_to_frame(template)
-        _write_side_ledger(root, run_id, "collect", p, client.ledger)
-        rows["worker"] = p
-        return rows
+        rows = _received(client, spec.levels - 1, p)
+        collect_acc.add(client.ledger)
+        worker = pa.array(np.full(rows.num_rows, p, np.int32))
+        yield from rows.append_column("worker", worker).to_batches()
 
-    out = workers.groupBy("worker").applyInPandas(_collect, schema=out_schema)
-    out = out.cache()
+    out_schema = StructType(schema.fields + [StructField("worker", IntegerType())])
+    out = _on_workers(_collect, out_schema).cache()
     n_out = out.count()
 
-    # ---- accounting
-    input_ledger = Ledger()
-    for led in _read_side_ledgers(root, run_id, "in") + _read_side_ledgers(root, run_id, "inget"):
-        input_ledger.merge(led)
+    # ---- accounting: snapshots, so re-evaluating ``out`` leaves them as is
+    per_phase = [Ledger().merge(acc.value) for acc in level_accs]
     total = Ledger()
-    per_phase = []
-    for level in range(spec.levels):
-        phase = Ledger()
-        for led in _read_side_ledgers(root, run_id, f"lvl{level}"):
-            phase.merge(led)
-        per_phase.append(phase)
+    for phase in per_phase:
         total.merge(phase)
-    collect_ledger = Ledger()
-    for led in _read_side_ledgers(root, run_id, "collect"):
-        collect_ledger.merge(led)
-    total.merge(collect_ledger)
-
     report = ExchangeReport(
         spec=spec,
         n_workers=n_workers,
         dims=dims,
-        input_rows=int(n_in or 0),
+        input_rows=int(n_in),
         output_rows=int(n_out),
-        ledger=total,
-        input_ledger=input_ledger,
+        ledger=total.merge(collect_acc.value),
+        input_ledger=Ledger().merge(input_acc.value),
         per_phase=per_phase,
     )
     return out, report

@@ -1,29 +1,25 @@
 """Partition payload serialisation: Arrow IPC streams.
 
 The paper's workers exchange their in-memory columnar format; Arrow IPC is
-the faithful analogue (zero-copy columnar, exact dtype round-trip, cheap
+the faithful analogue (zero-copy columnar, exact type round-trip, cheap
 concatenation of parts into a combined file by byte offsets).
 """
 from __future__ import annotations
 
-import io
-
-import pandas as pd
 import pyarrow as pa
 
 
-def frame_to_bytes(pdf: pd.DataFrame) -> bytes:
-    """Serialise a (possibly empty) frame; dtypes survive the round trip."""
-    table = pa.Table.from_pandas(pdf, preserve_index=False)
-    sink = io.BytesIO()
+def frame_to_bytes(table: pa.Table) -> bytes:
+    """Serialise a (possibly empty) table; its schema survives the round trip."""
+    sink = pa.BufferOutputStream()
     with pa.ipc.new_stream(sink, table.schema) as w:
         w.write_table(table)
-    return sink.getvalue()
+    return sink.getvalue().to_pybytes()
 
 
-def bytes_to_frame(data: bytes) -> pd.DataFrame:
+def bytes_to_frame(data: bytes) -> pa.Table:
     with pa.ipc.open_stream(data) as r:
-        return r.read_all().to_pandas()
+        return r.read_all()
 
 
 def combine(parts: list[bytes]) -> tuple[bytes, list[int]]:

@@ -1,6 +1,6 @@
 """File-naming schemes (FORMATFILENAME variants) and partition serde."""
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 import pytest
 
 from repro.exchange import naming, serde
@@ -51,35 +51,36 @@ class TestNaming:
 
 
 class TestSerde:
-    def _frame(self, n=100):
+    def _table(self, n=100):
         g = np.random.default_rng(1)
-        return pd.DataFrame(
-            {
-                "k": g.integers(0, 50, n),
-                "v": g.random(n),
-                "d": pd.to_datetime("1994-01-01") + pd.to_timedelta(g.integers(0, 9, n), "D"),
-            }
-        )
+        day = np.datetime64("1994-01-01", "ns") + g.integers(0, 9, n).astype("timedelta64[D]")
+        return pa.table({"k": g.integers(0, 50, n), "v": g.random(n), "d": day})
 
     def test_roundtrip(self):
-        pdf = self._frame()
-        back = serde.bytes_to_frame(serde.frame_to_bytes(pdf))
-        pd.testing.assert_frame_equal(back, pdf)
+        t = self._table()
+        back = serde.bytes_to_frame(serde.frame_to_bytes(t))
+        assert back.schema.equals(t.schema, check_metadata=True)
+        assert back.equals(t, check_metadata=True)
 
     def test_empty_frame_keeps_dtypes(self):
-        pdf = self._frame().iloc[:0]
-        back = serde.bytes_to_frame(serde.frame_to_bytes(pdf))
-        assert list(back.dtypes) == list(pdf.dtypes)
-        assert len(back) == 0
+        """An empty table keeps its schema: receivers concatenate it with
+        non-empty parts."""
+        t = self._table().slice(0, 0)
+        back = serde.bytes_to_frame(serde.frame_to_bytes(t))
+        assert back.schema.equals(t.schema, check_metadata=True)
+        assert back.num_rows == 0
+        assert back.equals(t, check_metadata=True)
 
     def test_combine_and_slice(self):
-        frames = [self._frame(10), self._frame(0), self._frame(25)]
-        parts = [serde.frame_to_bytes(f) for f in frames]
+        tables = [self._table(10), self._table(0), self._table(25)]
+        parts = [serde.frame_to_bytes(t) for t in tables]
         blob, lengths = serde.combine(parts)
         assert sum(lengths) == len(blob)
-        for i, f in enumerate(frames):
+        for i, t in enumerate(tables):
             off, ln = serde.part_range(lengths, i)
-            pd.testing.assert_frame_equal(serde.bytes_to_frame(blob[off : off + ln]), f)
+            back = serde.bytes_to_frame(blob[off : off + ln])
+            assert back.schema.equals(t.schema, check_metadata=True)
+            assert back.equals(t, check_metadata=True)
 
     def test_part_range_offsets_are_running_sums(self):
         lengths = [5, 0, 7]

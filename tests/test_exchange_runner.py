@@ -4,6 +4,8 @@ Every variant must (a) place each record on the worker equal to its
 partition ID, (b) preserve the input multiset, and (c) issue exactly the
 request counts of `algorithms.expected_requests` (which tie to Table 2).
 """
+import copy
+
 import pandas as pd
 import pytest
 
@@ -37,7 +39,9 @@ def xstore(tmp_path_factory):
 def _run(spark, xinput, xstore, spec, P):
     df, in_pdf = xinput
     out, rep = runner.run_exchange(spark, df, P, spec, xstore)
-    return out.toPandas(), rep, in_pdf
+    pdf = out.toPandas()
+    out.unpersist()
+    return pdf, rep, in_pdf
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label + ("-sc" if s.offsets_mode == "sidecar" else ""))
@@ -96,3 +100,44 @@ class TestDetails:
         out, rep, in_pdf = _run(spark, xinput, xstore, alg.ExchangeSpec(1, True), 1)
         assert len(out) == len(in_pdf)
         assert (out["worker"] == 0).all()
+
+    def test_report_is_a_snapshot(self, spark, xinput, tmp_path):
+        """Re-evaluating the output reads the store again; the report keeps
+        the counts of the run, and the store holds exchange buckets only."""
+        store = S3Store(tmp_path)
+        out, rep = runner.run_exchange(spark, xinput[0], 16, alg.ExchangeSpec(2, True), store)
+        before = copy.deepcopy((rep.ledger, rep.per_phase, rep.input_ledger))
+        out.unpersist()
+        assert out.count() == 8000
+        assert (rep.ledger, rep.per_phase, rep.input_ledger) == before
+        assert all(b.startswith("xbkt") for b in store.buckets())
+
+
+@pytest.fixture(scope="module")
+def few_keys(spark):
+    """Fewer distinct keys than workers: most source workers have no input
+    share and most final workers receive no rows."""
+    df = synth_data.uniform_keys(spark, n=500, n_keys=5, seed=3)
+    return df, df.toPandas()
+
+
+@pytest.mark.parametrize(
+    "spec", [alg.ExchangeSpec(1, False), alg.ExchangeSpec(2, True)], ids=lambda s: s.label
+)
+def test_empty_shares(spark, xinput, few_keys, xstore, spec):
+    P = 16
+    out, rep = runner.run_exchange(spark, few_keys[0], P, spec, xstore)
+    ref, _ = runner.run_exchange(spark, xinput[0], P, spec, xstore)
+    try:
+        assert out.schema == ref.schema
+        pdf = out.toPandas()
+    finally:
+        out.unpersist()
+        ref.unpersist()
+    assert pdf["pid"].nunique() < P
+    assert (pdf["pid"] == pdf["worker"]).all()
+    a = pdf[["k", "v"]].sort_values(["k", "v"]).reset_index(drop=True)
+    b = few_keys[1][["k", "v"]].sort_values(["k", "v"]).reset_index(drop=True)
+    pd.testing.assert_frame_equal(a, b)
+    exp = alg.expected_requests(P, spec)
+    assert rep.requests == {k: exp[k] for k in ("puts", "gets", "lists")}

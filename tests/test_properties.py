@@ -2,7 +2,7 @@
 import math
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,6 +38,17 @@ class TestGridProperties:
             )
         assert holder == pid
 
+    @given(p=st.sampled_from([12, 27, 30]) | st.integers(1, 400), levels=st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_vectorised_routing_target_matches_level_coord(self, p, levels):
+        """The runner routes a whole ``pid`` column at once; every target
+        must be the scalar routing coordinate, also for non-square P."""
+        dims = alg.grid_dims(p, levels)
+        pids = np.arange(p, dtype=np.int32)
+        for lvl in range(levels):
+            want = [alg.level_coord(x, dims, lvl) for x in range(p)]
+            assert alg.level_coords(pids, dims, lvl).tolist() == want
+
     @given(p=st.integers(2, 400), levels=st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
     def test_groups_partition_workers_at_every_level(self, p, levels):
@@ -58,13 +69,13 @@ class TestSerdeProperties:
     @settings(max_examples=50, deadline=None)
     def test_combine_slice_roundtrip(self, lengths, seed):
         g = np.random.default_rng(seed)
-        frames = [
-            pd.DataFrame({"k": g.integers(0, 9, n), "v": g.random(n)}) for n in lengths
-        ]
-        blob, lens = serde.combine([serde.frame_to_bytes(f) for f in frames])
-        for i, f in enumerate(frames):
+        tables = [pa.table({"k": g.integers(0, 9, n), "v": g.random(n)}) for n in lengths]
+        blob, lens = serde.combine([serde.frame_to_bytes(t) for t in tables])
+        for i, t in enumerate(tables):
             off, ln = serde.part_range(lens, i)
-            pd.testing.assert_frame_equal(serde.bytes_to_frame(blob[off : off + ln]), f)
+            back = serde.bytes_to_frame(blob[off : off + ln])
+            assert back.schema.equals(t.schema, check_metadata=True)
+            assert back.equals(t, check_metadata=True)
 
     @given(lengths=st.lists(st.integers(0, 10**7), min_size=1, max_size=40))
     @settings(max_examples=100, deadline=None)
