@@ -1,12 +1,15 @@
 """Lambada driver and execution engine (paper §3, Fig 3).
 
 The driver compiles the plan, assigns input files to serverless workers,
-"invokes" them (one Spark task per worker via ``DataFrame.mapInPandas``, the
-reproduction's function-per-fragment scheduler), and collects results through
-shared storage only: workers post partial rows back as task output and their
-success/error message + metrics into a result queue (the ``qresults`` bucket,
-standing in for SQS). The driver-scope final aggregation runs as Spark SQL on
-the session (Catalyst), mirroring the paper's small driver scopes.
+"invokes" them, and collects results through shared storage only. A query is
+one Spark job with one stage: ``spark.range(n_workers).mapInArrow`` at the
+default parallelism, each task running several worker IDs one after another
+(the reproduction's function-per-fragment scheduler). Worker ``w`` scans
+``files[w::n_workers]``, returns its partial states as Arrow task output and
+posts its success/error message + metrics into a result queue (the
+``qresults`` bucket, standing in for SQS). The driver-scope final
+aggregation is the paper's small driver scope: one Arrow group-by over the
+collected partial states, in the driver process.
 
 Real wall-clock at SF<=0.1 validates *correctness*; paper-scale latency and
 cost come from ``repro.sim.worker_model`` fed with the measured metrics.
@@ -14,27 +17,25 @@ cost come from ``repro.sim.worker_model`` fed with the measured metrics.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import uuid
 from pathlib import Path
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
-from pyspark.sql import types as T
+from pyspark.sql.pandas.types import from_arrow_schema, to_arrow_schema
 
 from ..s3.store import S3Client, S3Store
 from ..scan.s3file import S3RandomAccessFile
 from . import compile as qc
-from . import frontend, plan as pl
+from . import frontend
 from .metrics import QueryMetrics, WorkerMetrics
 from .worker import execute_fragment
 
 RESULT_BUCKET = "qresults"
-
 
 class WorkerError(RuntimeError):
     """At least one worker posted an error message to the result queue."""
@@ -44,27 +45,11 @@ class WorkerError(RuntimeError):
 class QueryResult:
     """Result of one Lambada query execution."""
 
-    spark_df: DataFrame  # final (driver-scope) result as a Spark DataFrame
-    result: pd.DataFrame  # the same, collected
+    spark_df: DataFrame  # ``result`` as a Spark DataFrame (no worker reruns)
+    result: pd.DataFrame  # the final (driver-scope) result, collected
     metrics: QueryMetrics
     n_workers: int
     files_per_worker: int
-
-
-def _spark_type(t: pa.DataType) -> T.DataType:
-    if pa.types.is_string(t) or pa.types.is_large_string(t):
-        return T.StringType()
-    if pa.types.is_timestamp(t):
-        return T.TimestampType()
-    if pa.types.is_date(t):
-        return T.DateType()
-    if pa.types.is_integer(t):
-        return T.LongType()
-    if pa.types.is_floating(t):
-        return T.DoubleType()
-    if pa.types.is_boolean(t):
-        return T.BooleanType()
-    raise TypeError(f"unsupported column type {t}")
 
 
 def _arrow_schema(store_root: str, f) -> pa.Schema:
@@ -76,48 +61,37 @@ def _arrow_schema(store_root: str, f) -> pa.Schema:
     return schema
 
 
-def _partial_spark_schema(phys: qc.PhysicalQuery, arrow: pa.Schema) -> T.StructType:
-    fields = []
+def _partial_arrow_schema(phys: qc.PhysicalQuery, arrow: pa.Schema) -> pa.Schema:
+    """Worker output: partial states, or the rows of a query without
+    aggregation. Counts are int64; sums, minima, maxima and projections
+    are float64; keys and scanned columns keep their file type."""
     if phys.aggs:
-        for c in phys.partial_schema():
-            if c.kind == "key":
-                fields.append(T.StructField(c.name, _spark_type(arrow.field(c.name).type)))
-            elif c.kind == "count":
-                fields.append(T.StructField(c.name, T.LongType()))
-            else:
-                fields.append(T.StructField(c.name, T.DoubleType()))
-    else:
-        names = phys.scan_columns or [f.name for f in arrow]
-        if phys.projections is not None:
-            for name in phys.projections:
-                fields.append(T.StructField(name, T.DoubleType()))
-            names = [k for k in phys.keys if k not in phys.projections]
-        for name in names:
-            fields.append(T.StructField(name, _spark_type(arrow.field(name).type)))
-    return T.StructType(fields)
+        return pa.schema(
+            arrow.field(c.name)
+            if c.kind == "key"
+            else (c.name, pa.int64() if c.kind == "count" else pa.float64())
+            for c in phys.partial_schema()
+        )
+    if phys.projections is not None:
+        return pa.schema((name, pa.float64()) for name in phys.projections)
+    return pa.schema(arrow.field(name) for name in phys.scan_columns or arrow.names)
 
 
-def _final_aggregation(partials: DataFrame, phys: qc.PhysicalQuery) -> DataFrame:
-    """Driver scope: combine partial states with Spark SQL (Catalyst)."""
-    if not phys.aggs:
-        return partials
-    combined = []
+def _final_aggregation(partials: pa.Table, phys: qc.PhysicalQuery) -> pa.Table:
+    """Driver scope: combine the partial states with one Arrow group-by
+    (counts are summed, every other state combines with its own kind)."""
+    states = [c for c in phys.partial_schema() if c.kind != "key"]
+    specs = [(c.name, "sum" if c.kind == "count" else c.kind) for c in states]
+    combined = partials.group_by(phys.keys, use_threads=False).aggregate(specs)
+    # the group-by output puts the keys first, then one column per state
+    cols = dict(zip([c.name for c in states], combined.columns[len(phys.keys):]))
+    out = {k: combined[k] for k in phys.keys}
     for a in phys.aggs:
-        if a.fn == "sum":
-            combined.append(F.sum(a.out_name).alias(a.out_name))
-        elif a.fn == "count":
-            combined.append(F.sum(a.out_name).cast("long").alias(a.out_name))
-        elif a.fn == "avg":
-            combined.append(
-                (F.sum(a.out_name + "__sum") / F.sum(a.out_name + "__cnt")).alias(a.out_name)
-            )
-        elif a.fn == "min":
-            combined.append(F.min(a.out_name).alias(a.out_name))
-        elif a.fn == "max":
-            combined.append(F.max(a.out_name).alias(a.out_name))
-    if phys.keys:
-        return partials.groupBy(*phys.keys).agg(*combined)
-    return partials.agg(*combined)
+        if a.fn == "avg":
+            out[a.out_name] = pc.divide(cols[a.out_name + "__sum"], cols[a.out_name + "__cnt"])
+        else:
+            out[a.out_name] = cols[a.out_name]
+    return pa.table(out)
 
 
 def run_query(
@@ -152,48 +126,35 @@ def run_query(
     run_id = run_id or uuid.uuid4().hex[:12]
 
     S3Store(store_root).create_bucket(RESULT_BUCKET)
-    arrow = _arrow_schema(store_root, phys.files[0])
-    out_schema = _partial_spark_schema(phys, arrow)
-    out_cols = [f.name for f in out_schema.fields]
+    partial_schema = from_arrow_schema(
+        _partial_arrow_schema(phys, _arrow_schema(store_root, phys.files[0])),
+        prefer_timestamp_ntz=True,
+    )
+    out_schema = to_arrow_schema(partial_schema)
 
-    assignments = [
-        (w, json.dumps(phys.files[w::n_workers])) for w in range(n_workers)
-    ]
-    tasks = spark.createDataFrame(assignments, schema="worker int, files string")
-    # one Spark task per serverless worker (the FaaS scheduler analogue)
-    tasks = tasks.repartition(n_workers, "worker")
-
-    root, limit, chunk, fhint = store_root, memory_limit_mib, chunk_bytes, footer_hint
-
-    def _run_worker(batches):
+    def _run_workers(batches):
         for batch in batches:
-            for _, row in batch.iterrows():
-                wid = int(row["worker"])
-                files = [tuple(f) for f in json.loads(row["files"])]
-                queue = S3Client(root)  # result-queue client (SQS stand-in)
+            for wid in batch.column(0).to_pylist():
+                queue = S3Client(store_root)  # result-queue client (SQS stand-in)
                 try:
                     partial, m = execute_fragment(
-                        root,
+                        store_root,
                         wid,
-                        files,
+                        phys.files[wid::n_workers],
                         phys,
-                        chunk_bytes=chunk,
-                        footer_hint=fhint,
-                        memory_limit_mib=limit,
+                        chunk_bytes=chunk_bytes,
+                        footer_hint=footer_hint,
+                        memory_limit_mib=memory_limit_mib,
                     )
                 except Exception as e:  # report instead of dying silently
                     msg = WorkerMetrics(worker_id=wid, status="error", error=repr(e))
                     queue.put(RESULT_BUCKET, f"{run_id}/w{wid}.json", msg.to_json().encode())
                     continue
                 queue.put(RESULT_BUCKET, f"{run_id}/w{wid}.json", m.to_json().encode())
-                for c in out_schema.fields:
-                    if c.name not in partial.columns:
-                        partial[c.name] = pd.Series(dtype="float64")
-                yield partial[out_cols]
+                yield from partial.select(out_schema.names).cast(out_schema).to_batches()
 
-    partials = tasks.mapInPandas(_run_worker, schema=out_schema)
-    final = _final_aggregation(partials, phys)
-    result = final.toPandas()  # the action: runs all workers + driver scope
+    partials = spark.range(n_workers).mapInArrow(_run_workers, partial_schema)
+    collected = partials.toPandas()  # the only Spark action: runs every worker
 
     # driver polls the result queue until it heard back from all workers
     qdir = Path(store_root) / RESULT_BUCKET / run_id
@@ -208,8 +169,16 @@ def run_query(
             "; ".join(f"worker {w.worker_id}: {w.error}" for w in errors)
         )
     workers.sort(key=lambda w: w.worker_id)
+
+    if phys.aggs:
+        states = pa.Table.from_pandas(collected, schema=out_schema, preserve_index=False)
+        final = _final_aggregation(states, phys)
+        result = final.to_pandas()
+        final_schema = from_arrow_schema(final.schema, prefer_timestamp_ntz=True)
+    else:
+        result, final_schema = collected, partial_schema
     return QueryResult(
-        spark_df=final,
+        spark_df=spark.createDataFrame(result, schema=final_schema),
         result=result,
         metrics=QueryMetrics(workers),
         n_workers=n_workers,

@@ -7,8 +7,10 @@ out-of-memory situations are *reported* to the driver instead of the worker
 result queue.
 
 The fragment pipeline is: S3 Parquet scan (with push-downs) -> residual
-filter -> projection -> partial aggregation, all vectorised over Arrow/pandas
-batches (the stand-in for the paper's JiT-compiled pipelines).
+filter -> projection over pandas batches (the stand-in for the paper's
+JiT-compiled pipelines) -> partial aggregation, one Arrow group-by over all
+of the worker's rows. The fragment returns an Arrow table: the partial
+states, or the rows of a query without aggregation.
 """
 from __future__ import annotations
 
@@ -16,54 +18,62 @@ import time
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..s3.store import S3Client
 from ..scan.parquet_scan import ParquetScanOperator
 from . import compile as qc
 from .metrics import WorkerMetrics
 
+_ALL_ROWS = pc.CountOptions(mode="all")
+
 
 class WorkerOOM(MemoryError):
     """Fragment would exceed the function's memory limit."""
 
 
-def _partial_aggregate(df: pd.DataFrame, phys: qc.PhysicalQuery) -> pd.DataFrame:
-    """Compute partial aggregation states for one worker's rows."""
-    cols = phys.partial_schema()
-    state_cols = [c for c in cols if c.kind != "key"]
+def _filter_project(batch: pd.DataFrame, phys: qc.PhysicalQuery) -> pd.DataFrame:
+    """Residual filter, then projection, of one decoded batch."""
+    if phys.residual_predicate is not None:
+        mask = phys.residual_predicate.eval(batch)
+        batch = batch[np.asarray(mask, dtype=bool)]
+    if phys.projections is not None:
+        out = {name: e.eval(batch) for name, e in phys.projections.items()}
+        for k in phys.keys:
+            if k not in out:
+                out[k] = batch[k]
+        batch = pd.DataFrame(out)
+    return batch
 
-    def _states(frame: pd.DataFrame) -> dict:
-        out = {}
-        for a in phys.aggs:
-            series = a.expr.eval(frame) if a.expr is not None else None
-            if a.fn == "sum":
-                out[a.out_name] = series.sum()
-            elif a.fn == "count":
-                out[a.out_name] = len(frame)
-            elif a.fn == "avg":
-                out[a.out_name + "__sum"] = series.sum()
-                out[a.out_name + "__cnt"] = len(frame)
-            elif a.fn == "min":
-                out[a.out_name] = series.min()
-            elif a.fn == "max":
-                out[a.out_name] = series.max()
-        return out
 
-    if df.empty:
-        return pd.DataFrame(
-            {
-                c.name: pd.Series(dtype=(object if c.kind == "key" else "float64"))
-                for c in cols
-            }
-        )
-    if phys.keys:
-        rows = []
-        for key_vals, grp in df.groupby(phys.keys, sort=False):
-            if len(phys.keys) == 1:
-                key_vals = (key_vals,)
-            rows.append({**dict(zip(phys.keys, key_vals)), **_states(grp)})
-        return pd.DataFrame(rows)
-    return pd.DataFrame([_states(df)])
+def _partial_aggregate(df: pd.DataFrame, phys: qc.PhysicalQuery) -> pa.Table:
+    """Partial aggregation states of one worker's rows, named as in
+    ``phys.partial_schema()``.
+
+    Each aggregate expression is evaluated once over the whole frame, then
+    one Arrow group-by computes every state. A keyless aggregate yields one
+    row even over no rows: its counts are 0 and its other states null.
+    """
+    rows = pa.nulls(len(df))  # counted in full, like COUNT(*)
+    cols = {k: df[k] for k in phys.keys}
+    specs = []
+    for a in phys.aggs:
+        if a.fn == "count":
+            states = [(a.out_name, rows, "count")]
+        elif a.fn == "avg":
+            states = [
+                (a.out_name + "__sum", a.expr.eval(df), "sum"),
+                (a.out_name + "__cnt", rows, "count"),
+            ]
+        else:
+            states = [(a.out_name, a.expr.eval(df), a.fn)]
+        for name, values, fn in states:
+            cols[name] = values
+            specs.append((name, fn, _ALL_ROWS) if fn == "count" else (name, fn))
+    # the group-by output puts the keys first, then one column per spec
+    out = pa.table(cols).group_by(phys.keys, use_threads=False).aggregate(specs)
+    return out.rename_columns([*phys.keys, *(s[0] for s in specs)])
 
 
 def execute_fragment(
@@ -75,8 +85,8 @@ def execute_fragment(
     chunk_bytes: int = 1 << 20,
     footer_hint: int = 1 << 16,
     memory_limit_mib: int | None = None,
-) -> tuple[pd.DataFrame, WorkerMetrics]:
-    """Run the serverless fragment; returns (partial rows, metrics).
+) -> tuple[pa.Table, WorkerMetrics]:
+    """Run the serverless fragment; returns (partial states or rows, metrics).
 
     Raises :class:`WorkerOOM` when the scanned data would not fit the
     function's memory budget (the engine runs "with a memory limit slightly
@@ -102,29 +112,16 @@ def execute_fragment(
                 f"worker {worker_id}: fragment needs >{consumed >> 20} MiB, "
                 f"limit {memory_limit_mib} MiB"
             )
-        batch = tbl.to_pandas()
-        if phys.residual_predicate is not None:
-            mask = phys.residual_predicate.eval(batch)
-            batch = batch[np.asarray(mask, dtype=bool)]
-        if phys.projections is not None:
-            out = {name: e.eval(batch) for name, e in phys.projections.items()}
-            for k in phys.keys:
-                if k not in out:
-                    out[k] = batch[k]
-            batch = pd.DataFrame(out)
-        parts.append(batch)
-
+        parts.append(_filter_project(tbl.to_pandas(), phys))
     if parts:
         rows = pd.concat(parts, ignore_index=True)
-    else:  # fully pruned worker: correct empty frame, columns included
-        empty = scan.empty_table().to_pandas()
-        if phys.projections is not None:
-            cols = list(phys.projections) + [k for k in phys.keys if k not in phys.projections]
-            rows = pd.DataFrame({c: pd.Series(dtype="float64") for c in cols})
-        else:
-            rows = empty
+    else:  # fully pruned worker: the same pipeline over the typed empty table
+        rows = _filter_project(scan.empty_table().to_pandas(), phys)
 
-    partial = _partial_aggregate(rows, phys) if phys.aggs else rows
+    if phys.aggs:
+        partial = _partial_aggregate(rows, phys)
+    else:
+        partial = pa.Table.from_pandas(rows, preserve_index=False)
     m = WorkerMetrics(
         worker_id=worker_id,
         n_files=len(files),

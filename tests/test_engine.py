@@ -1,11 +1,18 @@
 """Lambada engine end-to-end: oracle-checked results, worker accounting,
-error reporting. Q1/Q6 run once (session fixtures); extra runs here vary the
-worker count and failure modes."""
+error reporting, the one-job query shape. Q1/Q6 run once (session
+fixtures); extra runs here vary the worker count and failure modes."""
+import shutil
+import uuid
+from pathlib import Path
+
+import pandas as pd
 import pytest
 
 from repro import oracle
 from repro.core import engine, queries
+from repro.core.expr import col
 from repro.core.frontend import Lambada
+from repro.core.plan import AggSpec
 
 
 class TestQ1:
@@ -119,7 +126,97 @@ class TestEngineMechanics:
         with pytest.raises(FileNotFoundError):
             Lambada(store_root).from_parquet("data", "nothing-here")
 
-    def test_driver_final_agg_uses_spark(self, mq1):
-        # the driver scope is a Spark DataFrame (Catalyst plan), not pandas
-        assert mq1.result.spark_df.schema is not None
-        assert "count_order" in mq1.result.spark_df.columns
+    ROWS_SQL = "SELECT l_quantity * l_discount AS v FROM lineitem WHERE l_quantity < 3"
+
+    @pytest.mark.parametrize("kind", ["q1", "rows"])
+    def test_spark_df_is_the_collected_result(self, spark, store_root, lineitem_ds, kind):
+        """``spark_df`` is a DataFrame over ``result``: evaluating it reruns
+        no worker, so it needs no result-queue report and posts none. Also
+        for a query without aggregation, whose rows are the workers' output."""
+        info, pdf = lineitem_ds
+        src = Lambada(store_root).from_files(info.files)
+        if kind == "q1":
+            q = queries.q1(src)
+        else:
+            q = src.filter(col("l_quantity") < 3).map(v=col("l_quantity") * col("l_discount"))
+        run_id = uuid.uuid4().hex[:12]
+        res = engine.run_query(spark, store_root, q, run_id=run_id)
+        qdir = Path(store_root) / engine.RESULT_BUCKET / run_id
+        shutil.rmtree(qdir)
+        got = res.spark_df.toPandas()
+        assert not qdir.exists()
+        assert list(got.columns) == list(res.result.columns)
+        pd.testing.assert_frame_equal(
+            oracle._canon(got), oracle._canon(res.result), check_dtype=False
+        )
+        sql = queries.Q1_SQL if kind == "q1" else self.ROWS_SQL
+        oracle.assert_equivalent(res.spark_df, sql, lineitem=pdf)
+
+    @pytest.mark.parametrize("name", ["q1", "q6"])
+    def test_one_spark_job_with_one_stage(self, spark, store_root, lineitem_ds, name):
+        """Dispatch, worker fragments and the collect are one Spark job of
+        one stage; the final aggregation runs in the driver, not in Spark."""
+        info, _ = lineitem_ds
+        src = Lambada(store_root).from_files(info.files)
+        sc = spark.sparkContext
+        group = f"shape-{name}-{uuid.uuid4().hex[:8]}"
+        sc.setJobGroup(group, "run_query shape")
+        try:
+            engine.run_query(spark, store_root, getattr(queries, name)(src))
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        tracker = sc.statusTracker()
+        jobs = tracker.getJobIdsForGroup(group)
+        assert len(jobs) == 1
+        assert len(tracker.getJobInfo(jobs[0]).stageIds) == 1
+
+    @pytest.mark.parametrize(
+        "workers",
+        [{"n_workers": 3}, {"n_workers": 5}, {"n_workers": 16}, {"files_per_worker": 3}],
+        ids=["n3", "n5", "n16", "fpw3"],
+    )
+    def test_file_assignment(self, spark, store_root, lineitem_ds, mq1, workers):
+        """Also when the worker IDs do not split evenly over the job's
+        ``defaultParallelism`` tasks (3, 5 and 6 workers), every file is
+        scanned by exactly one worker and every worker reports exactly once."""
+        info, pdf = lineitem_ds
+        src = Lambada(store_root).from_files(info.files)
+        run_id = uuid.uuid4().hex[:12]
+        res = engine.run_query(spark, store_root, queries.q1(src), run_id=run_id, **workers)
+        ws = res.metrics.workers
+        assert sum(w.n_files for w in ws) == 16
+        assert res.metrics.rows_read == mq1.result.metrics.rows_read
+        qdir = Path(store_root) / engine.RESULT_BUCKET / run_id
+        reports = sorted(p.name for p in qdir.iterdir())
+        assert reports == sorted(f"w{w}.json" for w in range(res.n_workers))
+        assert [w.worker_id for w in ws] == list(range(res.n_workers))
+        oracle.assert_equivalent(res.spark_df, queries.Q1_SQL, lineitem=pdf)
+
+
+class TestEmptySelection:
+    """Aggregates over a selection no row satisfies, as SQL defines them."""
+
+    AGGS = [AggSpec("n", "count"), AggSpec("s", "sum", col("l_quantity"))]
+    SQL = "SELECT {keys}count(*) AS n, sum(l_quantity) AS s FROM lineitem WHERE l_quantity < -1"
+
+    def _run(self, spark, store_root, lineitem_ds, keys):
+        info, pdf = lineitem_ds
+        src = Lambada(store_root).from_files(info.files)
+        q = src.filter(col("l_quantity") < -1).aggregate(keys=keys, aggs=self.AGGS)
+        res = engine.run_query(spark, store_root, q)
+        sql = self.SQL.format(keys="".join(f"{k}, " for k in keys))
+        if keys:
+            sql += " GROUP BY " + ", ".join(keys)
+        oracle.assert_equivalent(res.spark_df, sql, lineitem=pdf)
+        return res.result
+
+    def test_keyless_count_is_zero(self, spark, store_root, lineitem_ds):
+        result = self._run(spark, store_root, lineitem_ds, [])
+        assert len(result) == 1
+        assert result["n"].iloc[0] == 0
+        assert pd.isna(result["s"].iloc[0])
+
+    def test_grouped_has_no_rows(self, spark, store_root, lineitem_ds):
+        result = self._run(spark, store_root, lineitem_ds, ["l_returnflag"])
+        assert len(result) == 0
+        assert list(result.columns) == ["l_returnflag", "n", "s"]

@@ -2,10 +2,15 @@
 import math
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import compile as qc
+from repro.core import engine, worker
+from repro.core import plan as pl
+from repro.core.expr import col
 from repro.exchange import algorithms as alg
 from repro.exchange import naming, serde
 from repro.s3.store import Ledger
@@ -83,6 +88,66 @@ class TestSerdeProperties:
         key = naming.combined_key("r", 0, 0, 3, lengths)
         sender, parsed = naming.parse_combined(key)
         assert (sender, parsed) == (3, lengths)
+
+
+def _per_group_loop(df: pd.DataFrame, keys: list) -> pd.DataFrame:
+    """Reference: Q1-style aggregates of ``2 * v``, one group at a time,
+    with SQL's answers over no rows (count 0, everything else null)."""
+    groups = df.groupby(keys, sort=False) if keys else [((), df)]
+    rows = []
+    for key, g in groups:
+        v = g["v"] * 2
+        key = key if isinstance(key, tuple) else (key,)
+        states = {
+            "sum": v.sum() if len(g) else np.nan,
+            "avg": v.mean(),
+            "min": v.min(),
+            "max": v.max(),
+        }
+        rows.append({**dict(zip(keys, key)), **states, "count": len(g)})
+    return pd.DataFrame(rows, columns=[*keys, "sum", "avg", "min", "max", "count"])
+
+
+class TestPartialStateProperties:
+    SCHEMA = pa.schema([("k", pa.string()), ("j", pa.string()), ("v", pa.float64())])
+
+    @given(
+        n=st.integers(0, 40),
+        n_workers=st.integers(1, 4),
+        keys=st.sampled_from([[], ["k"], ["k", "j"]]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_split_then_combine_matches_per_group_loop(self, n, n_workers, keys, seed):
+        """Partial states of any split of the rows over workers, combined in
+        the driver, equal the aggregate of all rows computed group by group."""
+        g = np.random.default_rng(seed)
+        df = pd.DataFrame(
+            {
+                "k": g.choice(list("ab"), n).astype(object),
+                "j": g.choice(list("xyz"), n).astype(object),
+                "v": g.normal(size=n),
+            }
+        )
+        aggs = [pl.AggSpec(f, f, col("v") * 2) for f in ("sum", "avg", "min", "max")]
+        aggs.append(pl.AggSpec("count", "count"))
+        plan = pl.AggregateNode(pl.ScanNode([("b", "f")]), keys, aggs)
+        phys = qc.compile_plan(plan)
+        states = engine._partial_arrow_schema(phys, self.SCHEMA)
+        owner = g.integers(0, n_workers, n)
+        partials = pa.concat_tables(
+            worker._partial_aggregate(df[owner == w], phys).cast(states) for w in range(n_workers)
+        )
+        got = engine._final_aggregation(partials, phys).to_pandas()
+        want = _per_group_loop(df, keys)
+        assert list(got.columns) == list(want.columns)
+        pd.testing.assert_frame_equal(
+            got.sort_values(keys).reset_index(drop=True),
+            want.sort_values(keys).reset_index(drop=True),
+            check_dtype=False,
+            rtol=1e-9,
+            atol=1e-12,
+        )
 
 
 class TestLedgerProperties:
