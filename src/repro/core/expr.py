@@ -6,16 +6,20 @@ references, literals, arithmetic, and predicates. Predicates over a bare
 column and a literal expose a *prune interval* so the scan operator can skip
 row groups using Parquet min/max statistics (paper §4.3.2 / §5.3).
 
-Expressions evaluate vectorised over pandas DataFrames (the reproduction's
-stand-in for the paper's LLVM-JIT-compiled pipelines — both avoid
-per-record interpretation).
+Expressions evaluate vectorised over Arrow tables with ``pyarrow.compute``
+(the reproduction's stand-in for the paper's LLVM-JIT-compiled pipelines —
+both avoid per-record interpretation). A null operand yields null, so a
+predicate over a null drops the row, as in SQL.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Any
 
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
 
 def _wrap(x: Any) -> "Expr":
@@ -23,9 +27,11 @@ def _wrap(x: Any) -> "Expr":
 
 
 class Expr:
-    """Base class: a vectorised expression over a record batch."""
+    """Base class: a vectorised expression over an Arrow table."""
 
-    def eval(self, batch: pd.DataFrame):
+    def eval(self, table: pa.Table):
+        """An Arrow array over ``table``'s rows, or a scalar when the
+        expression reads no column."""
         raise NotImplementedError
 
     def columns(self) -> frozenset:
@@ -81,8 +87,8 @@ class Col(Expr):
 
     name: str
 
-    def eval(self, batch):
-        return batch[self.name]
+    def eval(self, table):
+        return table[self.name]
 
     def columns(self):
         return frozenset({self.name})
@@ -95,19 +101,19 @@ class Lit(Expr):
 
     value: Any
 
-    def eval(self, batch):
+    def eval(self, table):
         return self.value
 
     def columns(self):
         return frozenset()
 
 
-_ARITH = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-}
+def _true_divide(a, b):
+    # pc.divide truncates integers; ``/`` is true division, as in Python
+    return pc.divide(pc.cast(a, pa.float64()), b)
+
+
+_ARITH = {"+": pc.add, "-": pc.subtract, "*": pc.multiply, "/": _true_divide}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,8 +122,8 @@ class Arith(Expr):
     left: Expr
     right: Expr
 
-    def eval(self, batch):
-        return _ARITH[self.op](self.left.eval(batch), self.right.eval(batch))
+    def eval(self, table):
+        return _ARITH[self.op](self.left.eval(table), self.right.eval(table))
 
     def columns(self):
         return self.left.columns() | self.right.columns()
@@ -141,11 +147,11 @@ class Pred(Expr):
 
 
 _CMP = {
-    "<=": lambda a, b: a <= b,
-    "<": lambda a, b: a < b,
-    ">=": lambda a, b: a >= b,
-    ">": lambda a, b: a > b,
-    "==": lambda a, b: a == b,
+    "<=": pc.less_equal,
+    "<": pc.less,
+    ">=": pc.greater_equal,
+    ">": pc.greater,
+    "==": pc.equal,
 }
 
 
@@ -155,8 +161,8 @@ class Cmp(Pred):
     left: Expr
     right: Expr
 
-    def eval(self, batch):
-        return _CMP[self.op](self.left.eval(batch), self.right.eval(batch))
+    def eval(self, table):
+        return _CMP[self.op](self.left.eval(table), self.right.eval(table))
 
     def columns(self):
         return self.left.columns() | self.right.columns()
@@ -182,9 +188,10 @@ class Between(Pred):
     lo: Expr
     hi: Expr
 
-    def eval(self, batch):
-        v = self.expr.eval(batch)
-        return (v >= self.lo.eval(batch)) & (v <= self.hi.eval(batch))
+    def eval(self, table):
+        v = self.expr.eval(table)
+        lo, hi = self.lo.eval(table), self.hi.eval(table)
+        return pc.and_(pc.greater_equal(v, lo), pc.less_equal(v, hi))
 
     def columns(self):
         return self.expr.columns() | self.lo.columns() | self.hi.columns()
@@ -202,12 +209,8 @@ class And(Pred):
     def __init__(self, parts):
         object.__setattr__(self, "parts", tuple(parts))
 
-    def eval(self, batch):
-        out = None
-        for p in self.parts:
-            v = p.eval(batch)
-            out = v if out is None else (out & v)
-        return out
+    def eval(self, table):
+        return functools.reduce(pc.and_, (p.eval(table) for p in self.parts))
 
     def columns(self):
         cols = frozenset()

@@ -7,23 +7,23 @@ out-of-memory situations are *reported* to the driver instead of the worker
 result queue.
 
 The fragment pipeline is: S3 Parquet scan (with push-downs) -> residual
-filter -> projection over pandas batches (the stand-in for the paper's
-JiT-compiled pipelines) -> partial aggregation, one Arrow group-by over all
-of the worker's rows. The fragment returns an Arrow table: the partial
-states, or the rows of a query without aggregation.
+filter -> projection, evaluated with ``pyarrow.compute`` over the scanned
+Arrow tables (the stand-in for the paper's JiT-compiled pipelines) ->
+partial aggregation, one Arrow group-by over all of the worker's rows. The
+fragment returns an Arrow table: the partial states, or the rows of a query
+without aggregation.
 """
 from __future__ import annotations
 
 import time
 
-import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..s3.store import S3Client
 from ..scan.parquet_scan import ParquetScanOperator
 from . import compile as qc
+from . import expr as ex
 from .metrics import WorkerMetrics
 
 _ALL_ROWS = pc.CountOptions(mode="all")
@@ -33,44 +33,53 @@ class WorkerOOM(MemoryError):
     """Fragment would exceed the function's memory limit."""
 
 
-def _filter_project(batch: pd.DataFrame, phys: qc.PhysicalQuery) -> pd.DataFrame:
-    """Residual filter, then projection, of one decoded batch."""
+def _column(e: ex.Expr, table: pa.Table):
+    """``e`` over ``table``'s rows; a scalar result (an expression that reads
+    no column) is repeated once per row."""
+    v = e.eval(table)
+    if isinstance(v, (pa.Array, pa.ChunkedArray)):
+        return v
+    return pa.repeat(v, table.num_rows)
+
+
+def _filter_project(table: pa.Table, phys: qc.PhysicalQuery) -> pa.Table:
+    """Residual filter, then projection, of the scanned rows."""
     if phys.residual_predicate is not None:
-        mask = phys.residual_predicate.eval(batch)
-        batch = batch[np.asarray(mask, dtype=bool)]
+        table = table.filter(_column(phys.residual_predicate, table))
     if phys.projections is not None:
-        out = {name: e.eval(batch) for name, e in phys.projections.items()}
+        out = {name: _column(e, table) for name, e in phys.projections.items()}
         for k in phys.keys:
-            if k not in out:
-                out[k] = batch[k]
-        batch = pd.DataFrame(out)
-    return batch
+            out.setdefault(k, table[k])
+        table = pa.table(out)
+    return table
 
 
-def _partial_aggregate(df: pd.DataFrame, phys: qc.PhysicalQuery) -> pa.Table:
+def _partial_aggregate(rows: pa.Table, phys: qc.PhysicalQuery) -> pa.Table:
     """Partial aggregation states of one worker's rows, named as in
     ``phys.partial_schema()``.
 
-    Each aggregate expression is evaluated once over the whole frame, then
-    one Arrow group-by computes every state. A keyless aggregate yields one
-    row even over no rows: its counts are 0 and its other states null.
+    Each aggregate expression is evaluated once over the whole table, then
+    one Arrow group-by computes every state. Like SQL, ``count`` counts
+    every row and the other functions skip nulls (``avg`` is a sum and a
+    count of the non-null values). A keyless aggregate yields one row even
+    over no rows: its counts are 0 and its other states null.
     """
-    rows = pa.nulls(len(df))  # counted in full, like COUNT(*)
-    cols = {k: df[k] for k in phys.keys}
+    cols = {k: rows[k] for k in phys.keys}
     specs = []
     for a in phys.aggs:
         if a.fn == "count":
-            states = [(a.out_name, rows, "count")]
+            states = [(a.out_name, pa.nulls(rows.num_rows), "count", _ALL_ROWS)]
         elif a.fn == "avg":
+            values = _column(a.expr, rows)
             states = [
-                (a.out_name + "__sum", a.expr.eval(df), "sum"),
-                (a.out_name + "__cnt", rows, "count"),
+                (a.out_name + "__sum", values, "sum", None),
+                (a.out_name + "__cnt", values, "count", None),
             ]
         else:
-            states = [(a.out_name, a.expr.eval(df), a.fn)]
-        for name, values, fn in states:
+            states = [(a.out_name, _column(a.expr, rows), a.fn, None)]
+        for name, values, fn, options in states:
             cols[name] = values
-            specs.append((name, fn, _ALL_ROWS) if fn == "count" else (name, fn))
+            specs.append((name, fn, options))
     # the group-by output puts the keys first, then one column per spec
     out = pa.table(cols).group_by(phys.keys, use_threads=False).aggregate(specs)
     return out.rename_columns([*phys.keys, *(s[0] for s in specs)])
@@ -112,23 +121,16 @@ def execute_fragment(
                 f"worker {worker_id}: fragment needs >{consumed >> 20} MiB, "
                 f"limit {memory_limit_mib} MiB"
             )
-        parts.append(_filter_project(tbl.to_pandas(), phys))
-    if parts:
-        rows = pd.concat(parts, ignore_index=True)
-    else:  # fully pruned worker: the same pipeline over the typed empty table
-        rows = _filter_project(scan.empty_table().to_pandas(), phys)
-
-    if phys.aggs:
-        partial = _partial_aggregate(rows, phys)
-    else:
-        partial = pa.Table.from_pandas(rows, preserve_index=False)
+        parts.append(tbl)
+    rows = _filter_project(pa.concat_tables(parts or [scan.empty_table()]), phys)
+    partial = _partial_aggregate(rows, phys) if phys.aggs else rows
     m = WorkerMetrics(
         worker_id=worker_id,
         n_files=len(files),
         row_groups_total=scan.metrics.row_groups_total,
         row_groups_scanned=scan.metrics.row_groups_scanned,
         rows_read=scan.metrics.rows_read,
-        rows_out=int(len(rows)),
+        rows_out=rows.num_rows,
         compressed_bytes=scan.metrics.compressed_bytes,
         uncompressed_bytes=scan.metrics.uncompressed_bytes,
         wall_time_s=time.monotonic() - t0,

@@ -5,11 +5,12 @@ over ``tables`` and asserts the sorted rows match ``spark_df`` (the
 Spark result). This catches wrong results from a rewritten plan or a
 custom operator — "it ran" is not "it is correct".
 
-``tables`` may be Spark or pandas DataFrames; Spark inputs are
-collected via ``.toPandas()``. Alias every output column identically
-on both sides (Spark names ``count(*)`` as ``count(1)``, DuckDB as
-``count_star()``) and project to scalar columns — array/map/struct
-columns are not orderable so cannot be compared here.
+``tables`` may be Spark or pandas DataFrames or Arrow tables; Spark
+inputs are collected via ``.toPandas()``, Arrow tables keep their nulls.
+Alias every output column identically on both sides (Spark names
+``count(*)`` as ``count(1)``, DuckDB as ``count_star()``) and project to
+scalar columns — array/map/struct columns are not orderable so cannot be
+compared here.
 """
 import duckdb
 import pandas as pd

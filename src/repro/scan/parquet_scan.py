@@ -35,7 +35,6 @@ from .s3file import DEFAULT_CHUNK_BYTES, DEFAULT_FOOTER_HINT, S3RandomAccessFile
 class ScanMetrics:
     """What a scan did — consumed by cost/latency models and tests."""
 
-    files_listed: int = 0
     files_scanned: int = 0  # files with at least one surviving row group
     row_groups_total: int = 0
     row_groups_scanned: int = 0
@@ -46,11 +45,6 @@ class ScanMetrics:
     @property
     def pruned_all(self) -> bool:
         return self.row_groups_scanned == 0
-
-    def merge(self, other: "ScanMetrics") -> "ScanMetrics":
-        for f in dataclasses.fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-        return self
 
 
 def _stats_interval(rg_meta, col_idx):
@@ -133,7 +127,6 @@ class ParquetScanOperator:
     def tables(self) -> Iterator[pa.Table]:
         """open/next/close: yields one Arrow table per surviving row group."""
         for bucket, key in self.files:
-            self.metrics.files_listed += 1
             f = S3RandomAccessFile(
                 self.client, bucket, key, chunk_bytes=self.chunk_bytes, footer_hint=self.footer_hint
             )
@@ -181,10 +174,7 @@ class ParquetScanOperator:
     def read_all(self) -> pa.Table:
         """Materialise the whole scan as one Arrow table (empty-but-typed
         when everything was pruned)."""
-        tables = list(self.tables())
-        if tables:
-            return pa.concat_tables(tables)
-        return self.empty_table()
+        return pa.concat_tables(list(self.tables()) or [self.empty_table()])
 
     def empty_table(self) -> pa.Table:
         """Typed empty result. Reuses the footer already read by

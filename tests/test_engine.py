@@ -1,18 +1,22 @@
 """Lambada engine end-to-end: oracle-checked results, worker accounting,
 error reporting, the one-job query shape. Q1/Q6 run once (session
 fixtures); extra runs here vary the worker count and failure modes."""
+import io
 import shutil
 import uuid
 from pathlib import Path
 
 import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 from repro import oracle
 from repro.core import engine, queries
-from repro.core.expr import col
+from repro.core.expr import col, lit
 from repro.core.frontend import Lambada
 from repro.core.plan import AggSpec
+from repro.s3.store import S3Store
 
 
 class TestQ1:
@@ -220,3 +224,69 @@ class TestEmptySelection:
         result = self._run(spark, store_root, lineitem_ds, ["l_returnflag"])
         assert len(result) == 0
         assert list(result.columns) == ["l_returnflag", "n", "s"]
+
+
+class TestLiteralExpressions:
+    """Aggregates and projections whose expression reads no column."""
+
+    SQL = "SELECT sum({v}) AS value FROM lineitem WHERE l_quantity < 10"
+
+    @pytest.mark.parametrize("kind", ["reduce", "map"])
+    def test_literal_sum_matches_duckdb(self, spark, store_root, lineitem_ds, kind):
+        info, pdf = lineitem_ds
+        src = Lambada(store_root).from_files(info.files).filter(col("l_quantity") < 10)
+        if kind == "reduce":
+            q, v = src.reduce("sum", lit(1)), "1"
+        else:
+            q, v = src.map(v=lit(2.0)).reduce("sum", col("v")), "2.0"
+        res = engine.run_query(spark, store_root, q, n_workers=4)
+        oracle.assert_equivalent(res.spark_df, self.SQL.format(v=v), lineitem=pdf)
+
+
+class TestNulls:
+    """Nulls in int and float filter and aggregate columns, as SQL treats
+    them: a null in a predicate drops the row, aggregates skip nulls, and
+    a group whose values are all null aggregates to null."""
+
+    TABLE = pa.table(
+        {
+            "k": ["a", "b", "c", "a", "b", "c", "a", "b", "c", "a"],
+            "i": pa.array([1, None, 3, 4, 5, 6, None, 8, 9, 10], pa.int64()),
+            "x": pa.array([0.5, 1.5, 2.5, None, 4.5, 5.5, 6.5, 7.5, 8.5, 9.5]),
+            "n": pa.array([None, 2, None, 4, 5, None, 7, None, None, 10], pa.int64()),
+            "f": pa.array([1.25, None, None, 4.25, None, None, 7.25, 8.25, None, None]),
+        }
+    )
+    FUNCS = ("sum", "avg", "min", "max")
+
+    @pytest.fixture(scope="class")
+    def nulls_files(self, tmp_path_factory):
+        root = str(tmp_path_factory.mktemp("nullstore"))
+        store = S3Store(root)
+        store.create_bucket("nulls")
+        buf = io.BytesIO()
+        pq.write_table(self.TABLE, buf, row_group_size=4)
+        store.client().put("nulls", "t.parquet", buf.getvalue())
+        return root, [("nulls", "t.parquet")]
+
+    @pytest.mark.parametrize("keys", [[], ["k"]], ids=["keyless", "grouped"])
+    def test_all_aggregates_match_duckdb(self, spark, nulls_files, keys):
+        root, files = nulls_files
+        aggs = [AggSpec("cnt", "count")]
+        sql = ["count(*) AS cnt"]
+        for fn in self.FUNCS:
+            for c in ("n", "f"):
+                aggs.append(AggSpec(f"{fn}_{c}", fn, col(c)))
+                sql.append(f"{fn}({c}) AS {fn}_{c}")
+        q = (
+            Lambada(root)
+            .from_files(files)
+            .filter((col("i") >= 1) & (col("x") < 9.0))
+            .aggregate(keys=keys, aggs=aggs)
+        )
+        res = engine.run_query(spark, root, q)
+        select = ", ".join([*keys, *sql])
+        group = " GROUP BY k" if keys else ""
+        oracle.assert_equivalent(
+            res.spark_df, f"SELECT {select} FROM t WHERE i >= 1 AND x < 9.0{group}", t=self.TABLE
+        )

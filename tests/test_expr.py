@@ -1,21 +1,24 @@
 """Expression IR: evaluation, column tracking, prune intervals."""
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from repro.core import expr as ex
 
-BATCH = pd.DataFrame(
+BATCH = pa.table(
     {
         "a": [1.0, 2.0, 3.0, 4.0],
         "b": [10.0, 20.0, 30.0, 40.0],
         "d": pd.to_datetime(["1994-01-01", "1994-06-01", "1995-01-01", "1996-01-01"]),
+        "i": pa.array([3, 4, 5, 6], pa.int64()),
+        "j": pa.array([2, 2, 2, 4], pa.int64()),
     }
 )
 
 
 class TestEval:
     def test_col_and_lit(self):
-        assert list(ex.col("a").eval(BATCH)) == [1, 2, 3, 4]
+        assert ex.col("a").eval(BATCH).to_pylist() == [1, 2, 3, 4]
         assert ex.lit(5).eval(BATCH) == 5
 
     @pytest.mark.parametrize(
@@ -31,7 +34,12 @@ class TestEval:
         ],
     )
     def test_arithmetic(self, e, expected):
-        assert list(e.eval(BATCH)) == expected
+        assert e.eval(BATCH).to_pylist() == expected
+
+    def test_division_of_integers_is_true_division(self):
+        out = (ex.col("i") / ex.col("j")).eval(BATCH)
+        assert out.type == pa.float64()
+        assert out.to_pylist() == [1.5, 2.0, 2.5, 1.5]
 
     @pytest.mark.parametrize(
         "p,expected",
@@ -45,15 +53,21 @@ class TestEval:
         ],
     )
     def test_comparisons(self, p, expected):
-        assert list(p.eval(BATCH)) == expected
+        assert p.eval(BATCH).to_pylist() == expected
 
     def test_conjunction(self):
         p = (ex.col("a") >= 2) & (ex.col("b") <= 30)
-        assert list(p.eval(BATCH)) == [False, True, True, False]
+        assert p.eval(BATCH).to_pylist() == [False, True, True, False]
 
     def test_date_literal(self):
         p = ex.col("d") < ex.lit("1995-01-01")
-        assert list(p.eval(BATCH)) == [True, True, False, False]
+        assert p.eval(BATCH).to_pylist() == [True, True, False, False]
+
+    def test_null_compares_to_null_and_the_row_is_dropped(self):
+        t = pa.table({"x": pa.array([1, None, 3], pa.int64())})
+        p = ex.col("x") <= 2
+        assert p.eval(t).to_pylist() == [True, None, False]
+        assert t.filter(p.eval(t))["x"].to_pylist() == [1]
 
     def test_non_date_string_stays_string(self):
         assert ex.lit("N").value == "N"

@@ -136,7 +136,10 @@ class TestPartialStateProperties:
         states = engine._partial_arrow_schema(phys, self.SCHEMA)
         owner = g.integers(0, n_workers, n)
         partials = pa.concat_tables(
-            worker._partial_aggregate(df[owner == w], phys).cast(states) for w in range(n_workers)
+            worker._partial_aggregate(
+                pa.Table.from_pandas(df[owner == w], schema=self.SCHEMA), phys
+            ).cast(states)
+            for w in range(n_workers)
         )
         got = engine._final_aggregation(partials, phys).to_pandas()
         want = _per_group_loop(df, keys)
