@@ -43,10 +43,6 @@ class DatasetInfo:
     def files(self) -> list:
         return [(self.bucket, k) for k in self.keys]
 
-    @property
-    def bytes_per_row(self) -> float:
-        return self.total_compressed_bytes / self.n_rows
-
     def used_column_bytes(self, columns) -> tuple[int, int]:
         """(compressed, uncompressed) bytes of a column subset — the quantity
         QaaS systems bill on and scans download."""

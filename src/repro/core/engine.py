@@ -7,9 +7,13 @@ default parallelism, each task running several worker IDs one after another
 (the reproduction's function-per-fragment scheduler). Worker ``w`` scans
 ``files[w::n_workers]``, returns its partial states as Arrow task output and
 posts its success/error message + metrics into a result queue (the
-``qresults`` bucket, standing in for SQS). The driver-scope final
-aggregation is the paper's small driver scope: one Arrow group-by over the
-collected partial states, in the driver process.
+``qresults`` bucket, standing in for SQS), which the driver reads back key
+by key, ``w0`` to ``w{n-1}``. The job's output schema is what the worker's
+own post-scan pipeline (``worker.run_pipeline``) emits over zero typed rows
+of the first file, so no driver code decides the type of a partial state.
+The driver-scope final aggregation is the paper's small driver scope: one
+Arrow group-by over the collected partial states, in the driver process
+(``avg`` divides as float, also over integer sums).
 
 Real wall-clock at SF<=0.1 validates *correctness*; paper-scale latency and
 cost come from ``repro.sim.worker_model`` fed with the measured metrics.
@@ -19,21 +23,19 @@ from __future__ import annotations
 import dataclasses
 import math
 import uuid
-from pathlib import Path
 
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
-import pyarrow.parquet as pq
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.pandas.types import from_arrow_schema, to_arrow_schema
 
-from ..s3.store import S3Client, S3Store
-from ..scan.s3file import S3RandomAccessFile
+from ..s3.store import NoSuchKey, S3Client, S3Store
+from ..scan.parquet_scan import ParquetScanOperator
 from . import compile as qc
+from . import expr as ex
 from . import frontend
 from .metrics import QueryMetrics, WorkerMetrics
-from .worker import execute_fragment
+from .worker import execute_fragment, run_pipeline
 
 RESULT_BUCKET = "qresults"
 
@@ -52,31 +54,6 @@ class QueryResult:
     files_per_worker: int
 
 
-def _arrow_schema(store_root: str, f) -> pa.Schema:
-    """Driver-scope pre-processing: one footer read of the first file."""
-    client = S3Client(store_root)
-    fobj = S3RandomAccessFile(client, f[0], f[1])
-    schema = pq.ParquetFile(fobj).schema_arrow
-    fobj.close()
-    return schema
-
-
-def _partial_arrow_schema(phys: qc.PhysicalQuery, arrow: pa.Schema) -> pa.Schema:
-    """Worker output: partial states, or the rows of a query without
-    aggregation. Counts are int64; sums, minima, maxima and projections
-    are float64; keys and scanned columns keep their file type."""
-    if phys.aggs:
-        return pa.schema(
-            arrow.field(c.name)
-            if c.kind == "key"
-            else (c.name, pa.int64() if c.kind == "count" else pa.float64())
-            for c in phys.partial_schema()
-        )
-    if phys.projections is not None:
-        return pa.schema((name, pa.float64()) for name in phys.projections)
-    return pa.schema(arrow.field(name) for name in phys.scan_columns or arrow.names)
-
-
 def _final_aggregation(partials: pa.Table, phys: qc.PhysicalQuery) -> pa.Table:
     """Driver scope: combine the partial states with one Arrow group-by
     (counts are summed, every other state combines with its own kind)."""
@@ -88,7 +65,8 @@ def _final_aggregation(partials: pa.Table, phys: qc.PhysicalQuery) -> pa.Table:
     out = {k: combined[k] for k in phys.keys}
     for a in phys.aggs:
         if a.fn == "avg":
-            out[a.out_name] = pc.divide(cols[a.out_name + "__sum"], cols[a.out_name + "__cnt"])
+            total, count = cols[a.out_name + "__sum"], cols[a.out_name + "__cnt"]
+            out[a.out_name] = ex._true_divide(total, count)
         else:
             out[a.out_name] = cols[a.out_name]
     return pa.table(out)
@@ -126,11 +104,12 @@ def run_query(
     run_id = run_id or uuid.uuid4().hex[:12]
 
     S3Store(store_root).create_bucket(RESULT_BUCKET)
-    partial_schema = from_arrow_schema(
-        _partial_arrow_schema(phys, _arrow_schema(store_root, phys.files[0])),
-        prefer_timestamp_ntz=True,
-    )
-    out_schema = to_arrow_schema(partial_schema)
+    # the worker's own pipeline over zero typed rows of the first file
+    client = S3Client(store_root)
+    first = ParquetScanOperator(client, phys.files[:1], columns=phys.scan_columns or None)
+    empty_out, _ = run_pipeline(first.empty_table(), phys)
+    partial_schema = from_arrow_schema(empty_out.schema, prefer_timestamp_ntz=True)
+    out_schema = to_arrow_schema(partial_schema)  # Spark's timestamps are [us]
 
     def _run_workers(batches):
         for batch in batches:
@@ -146,29 +125,34 @@ def run_query(
                         footer_hint=footer_hint,
                         memory_limit_mib=memory_limit_mib,
                     )
+                    # fails here, in this worker, on a file typed unlike the first
+                    partial = partial.cast(out_schema)
                 except Exception as e:  # report instead of dying silently
                     msg = WorkerMetrics(worker_id=wid, status="error", error=repr(e))
                     queue.put(RESULT_BUCKET, f"{run_id}/w{wid}.json", msg.to_json().encode())
                     continue
                 queue.put(RESULT_BUCKET, f"{run_id}/w{wid}.json", m.to_json().encode())
-                yield from partial.select(out_schema.names).cast(out_schema).to_batches()
+                yield from partial.to_batches()
 
     partials = spark.range(n_workers).mapInArrow(_run_workers, partial_schema)
     collected = partials.toPandas()  # the only Spark action: runs every worker
 
-    # driver polls the result queue until it heard back from all workers
-    qdir = Path(store_root) / RESULT_BUCKET / run_id
-    reports = sorted(qdir.glob("w*.json"))
-    workers = [WorkerMetrics.from_json(p.read_text()) for p in reports]
-    missing = set(range(n_workers)) - {w.worker_id for w in workers}
+    # driver reads the result queue: exactly one report per worker of this run
+    workers, missing = [], []
+    for wid in range(n_workers):
+        try:
+            report = client.get(RESULT_BUCKET, f"{run_id}/w{wid}.json")
+        except NoSuchKey:
+            missing.append(wid)
+            continue
+        workers.append(WorkerMetrics.from_json(report.decode()))
     if missing:
-        raise WorkerError(f"workers {sorted(missing)} never reported")
+        raise WorkerError(f"workers {missing} never reported")
     errors = [w for w in workers if w.status == "error"]
     if errors:
         raise WorkerError(
             "; ".join(f"worker {w.worker_id}: {w.error}" for w in errors)
         )
-    workers.sort(key=lambda w: w.worker_id)
 
     if phys.aggs:
         states = pa.Table.from_pandas(collected, schema=out_schema, preserve_index=False)

@@ -1,7 +1,9 @@
 """Per-worker and per-query execution metrics.
 
-Workers report these through the result queue (here: the ``_results`` bucket)
-exactly like the paper's event handler posts success/error messages to SQS.
+Workers report these through the result queue (here: the ``qresults``
+bucket) exactly like the paper's event handler posts success/error messages
+to SQS. One :class:`WorkerMetrics` holds all of a worker's counters: the
+Parquet scan counts into it directly.
 The simulation layer turns them into paper-scale latencies and dollar costs.
 """
 from __future__ import annotations
@@ -20,7 +22,7 @@ class WorkerMetrics:
     n_files: int = 0
     status: str = "ok"  # "ok" | "error"
     error: str = ""
-    # scan
+    # counted by the Parquet scan
     row_groups_total: int = 0
     row_groups_scanned: int = 0
     rows_read: int = 0

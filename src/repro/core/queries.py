@@ -13,7 +13,7 @@ Spark SQL for the QaaS baselines). Output columns are aliased identically.
 from __future__ import annotations
 
 from .expr import col, lit
-from .frontend import Dataset, Lambada
+from .frontend import Dataset
 from .plan import AggSpec
 
 #: Q1's date cutoff: 1998-12-01 minus 90 days.
@@ -102,8 +102,3 @@ SELECT sum(l_discount * l_extendedprice) AS value
 FROM lineitem
 WHERE l_discount >= 0.05
 """
-
-
-def source_for(lambada: Lambada, bucket: str = "data", prefix: str = "lineitem") -> Dataset:
-    """Convenience: the LINEITEM scan source from a store."""
-    return lambada.from_parquet(bucket, prefix)

@@ -11,7 +11,8 @@ filter -> projection, evaluated with ``pyarrow.compute`` over the scanned
 Arrow tables (the stand-in for the paper's JiT-compiled pipelines) ->
 partial aggregation, one Arrow group-by over all of the worker's rows. The
 fragment returns an Arrow table: the partial states, or the rows of a query
-without aggregation.
+without aggregation, typed by this pipeline alone (the driver runs
+:func:`run_pipeline` over zero typed rows to learn the output schema).
 """
 from __future__ import annotations
 
@@ -85,6 +86,16 @@ def _partial_aggregate(rows: pa.Table, phys: qc.PhysicalQuery) -> pa.Table:
     return out.rename_columns([*phys.keys, *(s[0] for s in specs)])
 
 
+def run_pipeline(scanned: pa.Table, phys: qc.PhysicalQuery) -> tuple[pa.Table, int]:
+    """The fragment after the scan: residual filter and projection, then
+    partial aggregation when the query aggregates. Returns the fragment's
+    output (partial states, or the rows of a query without aggregation) and
+    the number of rows that passed the filter. Over the scan's typed empty
+    table it gives the output schema, which is how the driver learns it."""
+    rows = _filter_project(scanned, phys)
+    return (_partial_aggregate(rows, phys) if phys.aggs else rows), rows.num_rows
+
+
 def execute_fragment(
     store_root: str,
     worker_id: int,
@@ -103,6 +114,7 @@ def execute_fragment(
     """
     t0 = time.monotonic()
     client = S3Client(store_root)
+    m = WorkerMetrics(worker_id=worker_id, n_files=len(files))
     scan = ParquetScanOperator(
         client,
         files,
@@ -111,6 +123,7 @@ def execute_fragment(
         chunk_bytes=chunk_bytes,
         footer_hint=footer_hint,
     )
+    scan.metrics = m  # the scan counts straight into this worker's record
     parts = []
     budget = None if memory_limit_mib is None else int(memory_limit_mib * 0.9) * 2**20
     consumed = 0
@@ -122,18 +135,7 @@ def execute_fragment(
                 f"limit {memory_limit_mib} MiB"
             )
         parts.append(tbl)
-    rows = _filter_project(pa.concat_tables(parts or [scan.empty_table()]), phys)
-    partial = _partial_aggregate(rows, phys) if phys.aggs else rows
-    m = WorkerMetrics(
-        worker_id=worker_id,
-        n_files=len(files),
-        row_groups_total=scan.metrics.row_groups_total,
-        row_groups_scanned=scan.metrics.row_groups_scanned,
-        rows_read=scan.metrics.rows_read,
-        rows_out=rows.num_rows,
-        compressed_bytes=scan.metrics.compressed_bytes,
-        uncompressed_bytes=scan.metrics.uncompressed_bytes,
-        wall_time_s=time.monotonic() - t0,
-        ledger=vars(client.ledger).copy(),
-    )
-    return partial, m
+    out, m.rows_out = run_pipeline(pa.concat_tables(parts or [scan.empty_table()]), phys)
+    m.wall_time_s = time.monotonic() - t0
+    m.ledger = vars(client.ledger).copy()
+    return out, m

@@ -31,28 +31,19 @@ def billed_bytes(used_column_compressed_bytes: float, row_selectivity: float) ->
     return used_column_compressed_bytes * row_selectivity
 
 
-def scanned_bytes(used_column_compressed_bytes: float, rowgroup_scan_fraction: float) -> float:
-    """What the engine actually reads: used columns of non-pruned row groups
-    (Athena benefits from Parquet min/max pruning like Lambada does)."""
-    return used_column_compressed_bytes * rowgroup_scan_fraction
-
-
 def estimate(
     query: str,
     used_column_compressed_bytes: float,
     *,
     row_selectivity: float,
-    rowgroup_scan_fraction: float,
 ) -> QaaSEstimate:
     """Latency and price of one query at paper scale.
 
     Latency scales with the **full** used-column bytes: the paper observed
     Athena's "running time increases linearly" with the dataset for both
     queries, i.e. min/max pruning did not shorten its runtime (it enters the
-    *price* via the selected-rows rule). ``rowgroup_scan_fraction`` is kept
-    for reference/pricing sanity checks.
+    *price* via the selected-rows rule).
     """
-    del rowgroup_scan_fraction  # latency is pruning-blind (see docstring)
     return QaaSEstimate(
         system="athena",
         query=query,

@@ -72,10 +72,3 @@ def sweep(
 ) -> list[ChunkingPoint]:
     """The Fig 7 parameter sweep."""
     return [scan_point(c, n, **kw) for c in chunk_sizes for n in connections]
-
-
-def max_bandwidth(memory_mib: int = 3008) -> float:
-    """The bandwidth ceiling the sweep should approach (burst-assisted)."""
-    return netmodel.effective_bandwidth(
-        10**9, memory_mib=memory_mib, n_connections=8, chunk_bytes=2**24
-    )

@@ -13,12 +13,12 @@ relies on:
   are downloaded (ranged GETs, chunk-aligned per Fig 7).
 
 The operator exposes the open/next/close interface as an iterator of Arrow
-tables (one per surviving row group) plus :class:`ScanMetrics` for the
-simulation layer.
+tables (one per surviving row group). It counts row groups, rows and bytes
+into ``metrics``, a :class:`~repro.core.metrics.WorkerMetrics`; a worker
+points it at its own record, so each worker has one metrics record.
 """
 from __future__ import annotations
 
-import dataclasses
 import io
 from typing import Iterator, Sequence
 
@@ -27,24 +27,9 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..core import expr as ex
+from ..core.metrics import WorkerMetrics
 from ..s3.store import S3Client
 from .s3file import DEFAULT_CHUNK_BYTES, DEFAULT_FOOTER_HINT, S3RandomAccessFile
-
-
-@dataclasses.dataclass
-class ScanMetrics:
-    """What a scan did — consumed by cost/latency models and tests."""
-
-    files_scanned: int = 0  # files with at least one surviving row group
-    row_groups_total: int = 0
-    row_groups_scanned: int = 0
-    rows_read: int = 0
-    compressed_bytes: int = 0  # compressed size of row groups actually read
-    uncompressed_bytes: int = 0
-
-    @property
-    def pruned_all(self) -> bool:
-        return self.row_groups_scanned == 0
 
 
 def _stats_interval(rg_meta, col_idx):
@@ -97,7 +82,7 @@ class ParquetScanOperator:
         self.predicate = list(predicate or [])
         self.chunk_bytes = chunk_bytes
         self.footer_hint = footer_hint
-        self.metrics = ScanMetrics()
+        self.metrics = WorkerMetrics(worker_id=-1)  # a worker sets its own
         self._schema: pa.Schema | None = None  # cached from the first footer
         self._intervals = []
         for p in self.predicate:
@@ -142,11 +127,9 @@ class ParquetScanOperator:
                 self._schema = pf.schema_arrow
             meta = pf.metadata
             self.metrics.row_groups_total += meta.num_row_groups
-            any_scanned = False
             for rg in range(meta.num_row_groups):
                 if not self._keep_row_group(meta, rg):
                     continue
-                any_scanned = True
                 self.metrics.row_groups_scanned += 1
                 rg_meta = meta.row_group(rg)
                 if self.columns is None:
@@ -167,8 +150,6 @@ class ParquetScanOperator:
                 tbl = pf.read_row_group(rg, columns=self.columns)
                 self.metrics.rows_read += tbl.num_rows
                 yield tbl
-            if any_scanned:
-                self.metrics.files_scanned += 1
             f.close()
 
     def read_all(self) -> pa.Table:

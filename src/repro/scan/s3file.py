@@ -35,7 +35,6 @@ class S3RandomAccessFile:
         *,
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
         footer_hint: int = DEFAULT_FOOTER_HINT,
-        size: int | None = None,
     ):
         if chunk_bytes < 1:
             raise ValueError("chunk_bytes must be positive")
@@ -43,7 +42,7 @@ class S3RandomAccessFile:
         self._bucket = bucket
         self._key = key
         self._chunk = chunk_bytes
-        self._size = client.head(bucket, key) if size is None else size
+        self._size = client.head(bucket, key)
         self._pos = 0
         self._chunks: dict[int, bytes] = {}
         self._footer_start = max(0, self._size - footer_hint)

@@ -121,7 +121,6 @@ def qaas_estimates(mq: MeasuredQuery, scale: scaling.PaperScale) -> dict:
             mq.name,
             used_comp * row_factor,
             row_selectivity=mq.row_selectivity,
-            rowgroup_scan_fraction=mq.rowgroup_scan_fraction,
         ),
         "bigquery": bigquery.estimate(mq.name, table_bytes, mq.used_uncompressed_fraction),
     }

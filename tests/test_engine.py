@@ -197,6 +197,58 @@ class TestEngineMechanics:
         oracle.assert_equivalent(res.spark_df, queries.Q1_SQL, lineitem=pdf)
 
 
+    def test_reused_run_id_reads_only_this_runs_reports(self, spark, store_root, lineitem_ds):
+        """The driver reads exactly ``w0..w{n-1}`` of its run: a 2-worker
+        run after a 4-worker run under the same ``run_id`` sees 2 reports."""
+        info, _ = lineitem_ds
+        src = Lambada(store_root).from_files(info.files)
+        run_id = uuid.uuid4().hex[:12]
+        engine.run_query(spark, store_root, queries.q6(src), n_workers=4, run_id=run_id)
+        res = engine.run_query(spark, store_root, queries.q6(src), n_workers=2, run_id=run_id)
+        assert res.metrics.n_workers == 2
+        assert [w.worker_id for w in res.metrics.workers] == [0, 1]
+        assert sum(w.n_files for w in res.metrics.workers) == 16
+
+    def test_type_mismatch_names_the_worker(self, spark, tmp_path):
+        """A file whose column type differs from the first file's fails in
+        its own worker, which reports the error to the result queue."""
+        root = str(tmp_path)
+        store = S3Store(root)
+        store.create_bucket("mixed")
+        for name, v in (("a", pa.array([1, 2], pa.int64())), ("b", pa.array(["x", "y"]))):
+            buf = io.BytesIO()
+            pq.write_table(pa.table({"v": v}), buf)
+            store.client().put("mixed", f"{name}.parquet", buf.getvalue())
+        files = [("mixed", "a.parquet"), ("mixed", "b.parquet")]
+        q = Lambada(root).from_files(files).reduce("max", col("v"))
+        with pytest.raises(engine.WorkerError, match="^worker 1: "):
+            engine.run_query(spark, root, q)
+
+
+class TestTypedAggregates:
+    """Partial states keep the type the worker's pipeline gives them:
+    timestamps, strings and integers are not turned into floats."""
+
+    @pytest.mark.parametrize(
+        "fn,column",
+        [
+            ("max", "l_shipdate"),
+            ("min", "l_returnflag"),
+            ("sum", "l_linenumber"),
+            ("avg", "l_linenumber"),
+        ],
+        ids=["max-timestamp", "min-string", "sum-int", "avg-int"],
+    )
+    def test_matches_duckdb(self, spark, store_root, lineitem_ds, fn, column):
+        info, pdf = lineitem_ds
+        src = Lambada(store_root).from_files(info.files)
+        res = engine.run_query(spark, store_root, src.reduce(fn, col(column)), n_workers=4)
+        sql = f"SELECT {fn}({column}) AS value FROM lineitem"
+        oracle.assert_equivalent(res.spark_df, sql, lineitem=pdf)
+        if fn == "sum":
+            assert res.result["value"].dtype == "int64"
+
+
 class TestEmptySelection:
     """Aggregates over a selection no row satisfies, as SQL defines them."""
 

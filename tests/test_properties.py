@@ -133,7 +133,7 @@ class TestPartialStateProperties:
         aggs.append(pl.AggSpec("count", "count"))
         plan = pl.AggregateNode(pl.ScanNode([("b", "f")]), keys, aggs)
         phys = qc.compile_plan(plan)
-        states = engine._partial_arrow_schema(phys, self.SCHEMA)
+        states = worker.run_pipeline(self.SCHEMA.empty_table(), phys)[0].schema
         owner = g.integers(0, n_workers, n)
         partials = pa.concat_tables(
             worker._partial_aggregate(

@@ -13,20 +13,20 @@ class TestAthenaModel:
     def test_price_counts_only_selected_rows(self):
         """§5.4.3: 'in Amazon Athena only the selected rows of these columns
         are counted' — Q6 pays for 2 %, Q1 for 98 %."""
-        q1 = athena.estimate("q1", 100 * GIB, row_selectivity=0.98, rowgroup_scan_fraction=1.0)
-        q6 = athena.estimate("q6", 60 * GIB, row_selectivity=0.02, rowgroup_scan_fraction=0.2)
+        q1 = athena.estimate("q1", 100 * GIB, row_selectivity=0.98)
+        q6 = athena.estimate("q6", 60 * GIB, row_selectivity=0.02)
         assert q1.cost_usd == pytest.approx(5 * 100 * 0.98 / 1024, rel=0.01)
         assert q6.cost_usd == pytest.approx(5 * 60 * 0.02 / 1024, rel=0.01)
 
     def test_latency_linear_in_data(self):
         """§5.4.2: 'their running time increases linearly'."""
-        t1 = athena.estimate("q", 100 * GIB, row_selectivity=1, rowgroup_scan_fraction=1).latency_s
-        t10 = athena.estimate("q", 1000 * GIB, row_selectivity=1, rowgroup_scan_fraction=1).latency_s
+        t1 = athena.estimate("q", 100 * GIB, row_selectivity=1).latency_s
+        t10 = athena.estimate("q", 1000 * GIB, row_selectivity=1).latency_s
         assert (t10 - athena.STARTUP_S) == pytest.approx(10 * (t1 - athena.STARTUP_S), rel=0.01)
 
     def test_fully_selective_query_is_free(self):
         """§5.4.3: 'a query becomes free if it filters out all tuples'."""
-        est = athena.estimate("q", 100 * GIB, row_selectivity=0.0, rowgroup_scan_fraction=0.0)
+        est = athena.estimate("q", 100 * GIB, row_selectivity=0.0)
         assert est.cost_usd == 0.0
 
 
