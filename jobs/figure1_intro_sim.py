@@ -6,7 +6,7 @@ Usage: python jobs/figure1_intro_sim.py  (pure model, no Spark)
 from _common import print_table
 
 from repro.qaas.spark_baseline import scheduling_comparison
-from repro.sim import figure1
+from repro.sim import baselines, figure1
 
 
 def main() -> None:
@@ -14,6 +14,15 @@ def main() -> None:
     print_table([vars(p) for p in f["iaas"]], "Fig 1a: job-scoped IaaS (c5n.xlarge, 2 min startup)")
     print_table([vars(p) for p in f["faas"]], "Fig 1a: FaaS (2 GiB workers, 4 s startup)")
     print("paper: IaaS up to an order of magnitude cheaper; only FaaS reaches interactive latency")
+    iaas_usd = min(p.cost_usd for p in f["iaas"])
+    faas_usd = min(p.cost_usd for p in f["faas"])
+    print(f"cheapest IaaS ${iaas_usd:.3f} vs cheapest FaaS ${faas_usd:.2f}: {faas_usd / iaas_usd:.1f}x")
+    faas_1024 = next(p for p in f["faas"] if p.workers == 1024)
+    print(
+        f"§6: FaaS 1 TB scan with 1024 workers {faas_1024.latency_s:.2f} s; "
+        f"published: Flint ~{baselines.FLINT_1TB_SCAN_S:.0f} s, "
+        f"Lambada ~{baselines.LAMBADA_1TB_SCAN_S:.0f} s"
+    )
 
     tiers = [
         {

@@ -1,11 +1,12 @@
 """Table 2 + Fig 9: request counts and dollar costs of the exchange family.
 
-Closed forms for paper-scale worker counts, plus a *real* exchange run on
-Spark through the simulated S3 whose counted requests are checked against the
-formulas.
+Closed forms for paper-scale worker counts and §4.4.3's offsets-variant
+crossover, plus a *real* exchange run on Spark through the simulated S3 whose
+counted requests are checked against the formulas.
 
 Usage: python jobs/table2_exchange_costs.py [sf]
 """
+import itertools
 import sys
 import tempfile
 
@@ -17,28 +18,27 @@ from repro.exchange import cost_model, runner
 from repro.s3.store import S3Store
 
 
-def main(sf: float = 0.02) -> None:
-    rows = []
-    for p in (256, 1024, 4096):
-        for spec in cost_model.ALL_SPECS:
-            c = cost_model.table2_counts(p, spec)
-            cost = cost_model.exchange_cost(p, spec)
-            rows.append(
-                {
-                    "workers": p,
-                    "algo": spec.label,
-                    "reads": int(c["reads"]),
-                    "writes": int(c["writes"]),
-                    "lists": int(c["lists"]),
-                    "scans": c["scans"],
-                    "request_usd": cost.request_cost,
-                    "worker_usd_low": cost.worker_cost_low,
-                    "worker_usd_high": cost.worker_cost_high,
-                }
-            )
-    print_table(rows, "Table 2 closed forms priced (Fig 9)")
+def closed_forms() -> None:
+    """The model half of the job: Table 2 priced (Fig 9) and §4.4.3's
+    crossover of the two write-combining offsets variants."""
+    print_table(cost_model.figure9((256, 1024, 4096)), "Table 2 closed forms priced (Fig 9)")
     print("paper: 1l at 4k workers costs ~$100 in requests vs ~$3.3 of worker time;")
     print("       2l-wc brings requests below worker cost; 3l-wc makes them negligible")
+    crossover = next(
+        p
+        for p in itertools.count(1)
+        if (c := cost_model.offsets_variant_costs(p))["filename_extra_usd"]
+        < c["sidecar_extra_usd"]
+    )
+    print(
+        f"\noffsets in the filename (one LIST per worker) beat the sidecar file "
+        f"(a second GET per sender) from {crossover} workers on "
+        '(paper: "more than about 12")'
+    )
+
+
+def main(sf: float = 0.02) -> None:
+    closed_forms()
 
     spark = get_spark("table2")
     tmp = tempfile.mkdtemp(prefix="lambada-x-")

@@ -77,16 +77,6 @@ def coords(x: int, dims: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def from_coords(cs, dims) -> int:
-    x, mul = 0, 1
-    for c, d in zip(cs, dims):
-        if not 0 <= c < d:
-            raise ValueError(f"coordinate {c} out of range for dim {d}")
-        x += c * mul
-        mul *= d
-    return x
-
-
 def level_coord(x: int, dims: tuple[int, ...], level: int) -> int:
     """The ``level``-th coordinate of ID ``x`` (the routing target)."""
     return coords(x, dims)[level]
@@ -109,24 +99,6 @@ def group_id(p: int, dims: tuple[int, ...], level: int) -> int:
         gid += c * mul
         mul *= d
     return gid
-
-
-def group_members(p: int, dims: tuple[int, ...], level: int) -> list[int]:
-    """All workers sharing p's group at this level, ordered by coordinate."""
-    cs = list(coords(p, dims))
-    out = []
-    for v in range(dims[level]):
-        cs2 = list(cs)
-        cs2[level] = v
-        out.append(from_coords(cs2, dims))
-    return out
-
-
-def peer_with_coord(p: int, dims: tuple[int, ...], level: int, coord: int) -> int:
-    """The member of p's level group whose level coordinate is ``coord``."""
-    cs = list(coords(p, dims))
-    cs[level] = coord
-    return from_coords(cs, dims)
 
 
 def expected_requests(n_workers: int, spec: ExchangeSpec) -> dict:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import dataclasses
 
 from ..s3 import pricing
-from ..sim import constants as C
 from .algorithms import ExchangeSpec
 
 #: Fig 9's worker throughput assumption ("we assume that they achieve 85 MiB/s").
@@ -68,15 +67,18 @@ def exchange_cost(n_workers: int, spec: ExchangeSpec) -> ExchangeCost:
 
 
 def figure9(worker_counts=(16, 64, 256, 1024, 4096)) -> list[dict]:
-    """The Fig 9 sweep: request costs of all six algorithms vs worker count."""
+    """The Fig 9 sweep: Table 2's request counts (rounded to whole requests)
+    and their costs for all six algorithms vs worker count."""
     rows = []
     for p in worker_counts:
         for spec in ALL_SPECS:
+            counts = table2_counts(p, spec)
             cost = exchange_cost(p, spec)
             rows.append(
                 {
                     "workers": p,
                     "algorithm": spec.label,
+                    **{k: round(v) for k, v in counts.items()},
                     "read_cost_usd": cost.read_cost,
                     "write_cost_usd": cost.write_cost,
                     "list_cost_usd": cost.list_cost,

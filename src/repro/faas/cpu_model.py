@@ -11,12 +11,11 @@ from __future__ import annotations
 #: Memory that buys exactly one vCPU of compute.
 MIB_PER_VCPU = 1792
 
-#: Valid Lambda memory sizes at the time of the paper: 128..3008 MiB in 64 MiB
-#: steps. 1796 appears in the paper's §5.2 text; it is the same 28-step size
-#: as 1792 rounded in prose — we accept both.
+#: Valid Lambda memory sizes at the time of the paper: 128..3008 MiB. 1796
+#: appears in the paper's §5.2 text; it is 1792 rounded in prose, so sizes
+#: are range-checked only, not snapped to the 64 MiB step.
 MIN_MEMORY_MIB = 128
 MAX_MEMORY_MIB = 3008
-MEMORY_STEP_MIB = 64
 
 #: Threads a single function may create (service limit, §4.1).
 MAX_THREADS = 1024

@@ -1,4 +1,4 @@
-"""Per-bucket S3 request-rate limits and queueing-delay model (paper §4.4.1).
+"""Per-bucket S3 request-rate limits and throttling model (paper §4.4.1).
 
 "as of July 2018, the rate limit on AWS is 3.5k and 5.5k per second for
 writes and reads, respectively, and was as low as 300 and 800 read and write
@@ -11,8 +11,6 @@ without throttling, :func:`throttled_duration` returns the stretched duration.
 from __future__ import annotations
 
 import dataclasses
-
-from .store import Ledger
 
 
 @dataclasses.dataclass(frozen=True)
@@ -43,31 +41,3 @@ def throttled_duration(
     if rate_per_s <= 0:
         raise ValueError("rate must be positive")
     return max(offered_duration_s, n_requests / rate_per_s)
-
-
-def queuing_delay(n_requests: int, rate_per_s: float, offered_duration_s: float) -> float:
-    """Extra seconds added by throttling (0 when under the limit)."""
-    return throttled_duration(n_requests, rate_per_s, offered_duration_s) - offered_duration_s
-
-
-def phase_throttle(
-    ledger: Ledger,
-    offered_duration_s: float,
-    limits: RateLimits = CURRENT_LIMITS,
-) -> float:
-    """Throttled duration of a phase given its per-bucket request ledger.
-
-    Each bucket is an independent token bucket (this is the whole point of the
-    paper's bucket-spreading trick); the phase ends when the most-throttled
-    bucket drains.
-    """
-    worst = offered_duration_s
-    for ops in ledger.per_bucket.values():
-        puts = ops.get("puts", 0) + ops.get("lists", 0)  # LIST billed/limited as write
-        gets = ops.get("gets", 0) + ops.get("heads", 0)
-        worst = max(
-            worst,
-            throttled_duration(puts, limits.put_per_s, offered_duration_s),
-            throttled_duration(gets, limits.get_per_s, offered_duration_s),
-        )
-    return worst

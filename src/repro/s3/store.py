@@ -2,8 +2,8 @@
 
 The paper's claims about S3 concern *requests* — their count, price, and
 per-bucket rate limits — plus per-worker bandwidth. This store provides the
-functional surface Lambada needs (atomic PUT, ranged GET, prefix LIST, HEAD,
-poll-until-exists) and a per-client :class:`Ledger` that records every request
+functional surface Lambada needs (atomic PUT, ranged GET, prefix LIST, HEAD)
+and a per-client :class:`Ledger` that records every request
 so experiments can account costs exactly. Bandwidth/latency are *not* enforced
 in wall-clock; they are applied by the simulation layer (``repro.sim``) from
 the ledgers.
@@ -20,7 +20,6 @@ import json
 import os
 import re
 import tempfile
-import time
 import uuid
 from pathlib import Path
 
@@ -105,9 +104,6 @@ class S3Store:
             raise ValueError(f"invalid bucket name {name!r}")
         (self.root / name).mkdir(exist_ok=True)
 
-    def buckets(self) -> list[str]:
-        return sorted(p.name for p in self.root.iterdir() if p.is_dir())
-
     def client(self) -> "S3Client":
         """A fresh client with an empty ledger (one per worker/driver)."""
         return S3Client(self.root)
@@ -130,9 +126,10 @@ class S3Client:
 
     # -- requests --------------------------------------------------------
     def put(self, bucket: str, key: str, data: bytes) -> None:
-        """PUT an object. Atomic (write-then-rename): a concurrent reader
-        polling for the key either misses it or sees the full object — the
-        property BasicExchange's poll-until-exists loop relies on."""
+        """PUT an object. Atomic (write-then-rename), and LIST skips the
+        temporary file, so a key is listed only once its object is complete.
+        The exchange runner relies on both: a LIST of a group prefix finds
+        every sender's key, and each listed key reads back in full."""
         path = self._path(bucket, key)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-" + uuid.uuid4().hex)
@@ -182,33 +179,3 @@ class S3Client:
                     keys.append(k)
         self.ledger.record("lists", bucket)
         return sorted(keys)
-
-    def delete(self, bucket: str, key: str) -> None:
-        path = self._path(bucket, key)
-        try:
-            path.unlink()
-        except FileNotFoundError:
-            raise NoSuchKey(f"{bucket}/{key}") from None
-        self.ledger.record("deletes", bucket)
-
-    def exists(self, bucket: str, key: str) -> bool:
-        """Existence probe, billed as a HEAD (used by poll-until-exists)."""
-        ok = self._path(bucket, key).is_file()
-        self.ledger.record("heads", bucket)
-        return ok
-
-    def get_when_available(
-        self, bucket: str, key: str, *, timeout_s: float = 10.0, poll_s: float = 0.005
-    ) -> bytes:
-        """Repeat GET until the object exists (paper §4.4.1: 'the receiver
-        must repeat reading a file until that file exists'). Each failed
-        attempt is billed as a GET like a real 404'd request would be."""
-        deadline = time.monotonic() + timeout_s
-        while True:
-            try:
-                return self.get(bucket, key)
-            except NoSuchKey:
-                self.ledger.record("gets", bucket)  # failed GET still billed
-                if time.monotonic() >= deadline:
-                    raise
-                time.sleep(poll_s)

@@ -9,8 +9,6 @@ single file read").
 """
 from __future__ import annotations
 
-import math
-
 from ..s3.store import S3Client
 
 DEFAULT_CHUNK_BYTES = 1 << 20  # 1 MiB: the paper's sweet spot with >=4 connections
@@ -120,8 +118,3 @@ class S3RandomAccessFile:
             data = self._client.get(self._bucket, self._key, offset=start, length=length)
             self._chunks[ci] = data
         return data
-
-    @property
-    def n_chunks(self) -> int:
-        """Total chunks the file spans (upper bound on data GETs)."""
-        return math.ceil(max(1, self._footer_start) / self._chunk)

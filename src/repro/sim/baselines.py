@@ -17,8 +17,6 @@ POCKET_VM_SECONDS = {250: 58.0, 500: 28.0, 1000: 18.0}
 POCKET_S3_SECONDS_250 = 98.0
 #: Locus [Pu et al., NSDI'19], 100 GB with a dynamic number of workers.
 LOCUS_100GB_RANGE_S = (80.0, 140.0)
-#: Locus, 1 TB, VM-based fast storage for intermediates.
-LOCUS_1TB_S = 39.0
 
 #: Lambada's published Table 3 rows (what our DES should land near).
 LAMBADA_TABLE3_S = {250: 22.0, 500: 15.0, 1000: 13.0}

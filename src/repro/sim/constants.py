@@ -27,11 +27,9 @@ BURST_FULL_MEMORY_MIB = 3008
 #: number of seconds" — credit window (calibrated to Fig 7: 4 connections at
 #: 1 MB chunks sustain ~max bandwidth on a 1 GB file).
 BURST_WINDOW_S = 2.5
-#: One S3 request round-trip from a worker (paper §5.5: "the fastest waiting
-#: time is that of one round-trip to S3 (around 0.1 s)"; GET first-byte
-#: latency used in the chunking model is ~30 ms, Fig 7 calibration).
+#: One S3 request round-trip (GET first-byte latency) from a worker: ~30 ms,
+#: calibrated to Fig 7.
 S3_RTT_S = 0.030
-S3_SYNC_RTT_S = 0.1
 #: Per-connection TCP throughput to S3 (calibrated to Fig 7: one connection
 #: needs a 16 MB chunk size to approach the 90 MiB/s worker limit).
 PER_CONNECTION_BW_BYTES_S = int(95.5 * 2**20)
@@ -99,10 +97,7 @@ FAAS_WORKER_MEMORY_MIB = 2048  # "2 GiB main memory"
 INTERACTIVE_TARGET_S = 10.0  # "processed in under 10 s"
 
 # --- dataset (paper §5.1) ---------------------------------------------------
-#: LINEITEM at SF 1000: 705 GiB CSV, 151 GiB Parquet (gzip), 320 files of
-#: ~500 MB, 6e9 rows (paper-quoted).
+#: LINEITEM at SF 1000: 151 GiB Parquet (gzip), 6e9 rows (paper-quoted).
 PAPER_SF = 1000.0
 PAPER_LINEITEM_ROWS = 6_000_000_000
-PAPER_LINEITEM_FILES = 320
 PAPER_LINEITEM_PARQUET_BYTES = 151 * 2**30
-PAPER_LINEITEM_CSV_BYTES = 705 * 2**30

@@ -45,12 +45,6 @@ class MeasuredQuery:
         return out / self.info.n_rows
 
     @property
-    def rowgroup_scan_fraction(self) -> float:
-        tot = sum(w.row_groups_total for w in self.result.metrics.workers)
-        sc = sum(w.row_groups_scanned for w in self.result.metrics.workers)
-        return sc / tot if tot else 0.0
-
-    @property
     def pruned_worker_fraction(self) -> float:
         return self.result.metrics.n_pruned / self.result.metrics.n_workers
 

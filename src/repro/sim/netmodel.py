@@ -55,8 +55,3 @@ def download_seconds(
     # token bucket: t = max(bytes/peak, (bytes - credit)/steady)
     t = max(nbytes / peak, (nbytes - credit) / steady)
     return max(t, nbytes / burst)
-
-
-def effective_bandwidth(nbytes: float, **kw) -> float:
-    """Average bytes/s achieved over a transfer of ``nbytes``."""
-    return nbytes / download_seconds(nbytes, **kw)

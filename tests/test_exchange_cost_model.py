@@ -66,13 +66,24 @@ class TestFig9Claims:
 
     def test_offsets_variant_crossover(self):
         """§4.4.3: filename-encoded offsets are 'cheaper for more than about
-        12 workers'."""
-        lo = cm.offsets_variant_costs(10)
-        hi = cm.offsets_variant_costs(100)
-        assert lo["sidecar_extra_usd"] < lo["filename_extra_usd"]
-        assert hi["sidecar_extra_usd"] > hi["filename_extra_usd"]
+        12 workers' — P^2 extra GETs vs P LISTs."""
+        at12 = cm.offsets_variant_costs(12)
+        at13 = cm.offsets_variant_costs(13)
+        assert at12["sidecar_extra_usd"] < at12["filename_extra_usd"]
+        assert at13["sidecar_extra_usd"] > at13["filename_extra_usd"]
 
     def test_figure9_sweep_shape(self):
         rows = cm.figure9()
         assert len(rows) == 5 * 6
         assert {r["algorithm"] for r in rows} == {"1l", "1l-wc", "2l", "2l-wc", "3l", "3l-wc"}
+
+    def test_figure9_values_quoted_in_experiments(self):
+        """The 4096-worker figures EXPERIMENTS.md quotes, as rounded there."""
+        rows = {r["algorithm"]: r for r in cm.figure9((4096,))}
+        assert round(rows["1l"]["request_cost_usd"], 1) == 90.6
+        assert round(rows["2l-wc"]["request_cost_usd"], 2) == 0.29
+        assert round(rows["3l-wc"]["request_cost_usd"], 2) == 0.20
+        assert round(rows["1l"]["worker_cost_low_usd"], 2) == 0.16
+        assert round(rows["1l"]["worker_cost_high_usd"], 1) == 4.9
+        assert (rows["1l"]["reads"], rows["1l"]["writes"]) == (4096**2, 4096**2)
+        assert (rows["3l-wc"]["writes"], rows["3l-wc"]["scans"]) == (3 * 4096, 3)

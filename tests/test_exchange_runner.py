@@ -110,7 +110,7 @@ class TestDetails:
         out.unpersist()
         assert out.count() == 8000
         assert (rep.ledger, rep.per_phase, rep.input_ledger) == before
-        assert all(b.startswith("xbkt") for b in store.buckets())
+        assert all(b.name.startswith("xbkt") for b in store.root.iterdir())
 
 
 @pytest.fixture(scope="module")

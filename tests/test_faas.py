@@ -1,14 +1,8 @@
-"""FaaS substrate: CPU-allocation law (Fig 4), platform limits, invocation
-DES (Table 1, Fig 5)."""
+"""FaaS substrate: CPU-allocation law (Fig 4) and invocation DES (Table 1,
+Fig 5)."""
 import pytest
 
 from repro.faas import cpu_model, invocation as inv
-from repro.faas.platform import (
-    DEFAULT_PLATFORM,
-    PAPER_PLATFORM,
-    ConcurrencyLimitExceeded,
-    FaaSPlatform,
-)
 
 
 class TestCpuModel:
@@ -51,29 +45,6 @@ class TestCpuModel:
     def test_invalid_threads_rejected(self, threads):
         with pytest.raises(ValueError):
             cpu_model.relative_performance(1792, threads)
-
-
-class TestPlatform:
-    def test_default_concurrency_limit_is_1k(self):
-        """§5.1: 'the default limit of concurrent function executions is 1k'."""
-        assert DEFAULT_PLATFORM.concurrency_limit == 1000
-
-    def test_limit_can_be_raised_like_the_paper_did(self):
-        PAPER_PLATFORM.check_fleet(3200, 1792)  # SF 10k run: 3200 workers
-
-    def test_exceeding_limit_raises(self):
-        with pytest.raises(ConcurrencyLimitExceeded):
-            DEFAULT_PLATFORM.check_fleet(3200, 1792)
-
-    def test_invocation_rate_is_10x_concurrency(self):
-        """§4.2: 'currently ten times the limit on ... concurrent invocations'."""
-        assert FaaSPlatform(concurrency_limit=1000).invocation_rate_limit == 10000
-
-    def test_bad_fleet_params(self):
-        with pytest.raises(ValueError):
-            DEFAULT_PLATFORM.check_fleet(0, 1792)
-        with pytest.raises(ValueError):
-            DEFAULT_PLATFORM.check_fleet(10, 100)
 
 
 class TestTable1:

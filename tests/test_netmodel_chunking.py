@@ -17,8 +17,9 @@ class TestSteadyBandwidth:
 
     def test_long_transfers_converge_to_steady(self):
         """The burst credit cannot help a 10 GB transfer."""
-        bw = netmodel.effective_bandwidth(10 * 10**9, memory_mib=3008, n_connections=8)
-        assert bw == pytest.approx(90 * 2**20, rel=0.07)
+        nbytes = 10 * 10**9
+        t = netmodel.download_seconds(nbytes, memory_mib=3008, n_connections=8)
+        assert nbytes / t == pytest.approx(90 * 2**20, rel=0.07)
 
 
 class TestBurst:
@@ -35,9 +36,9 @@ class TestBurst:
         assert netmodel.burst_bandwidth(1792, 8) < netmodel.burst_bandwidth(3008, 8)
 
     def test_small_file_multi_connection_beats_single(self):
-        one = netmodel.effective_bandwidth(256 * 2**20, memory_mib=3008, n_connections=1)
-        many = netmodel.effective_bandwidth(256 * 2**20, memory_mib=3008, n_connections=8)
-        assert many > 1.5 * one
+        one = netmodel.download_seconds(256 * 2**20, memory_mib=3008, n_connections=1)
+        many = netmodel.download_seconds(256 * 2**20, memory_mib=3008, n_connections=8)
+        assert one > 1.5 * many
 
     def test_zero_bytes(self):
         assert netmodel.download_seconds(0, memory_mib=2048) == 0.0

@@ -14,6 +14,7 @@ from repro.core.expr import col
 from repro.exchange import algorithms as alg
 from repro.exchange import naming, serde
 from repro.s3.store import Ledger
+from tests.test_exchange_algorithms import from_coords, peer_with_coord
 
 
 class TestGridProperties:
@@ -27,7 +28,7 @@ class TestGridProperties:
     def test_coords_roundtrip(self, p, levels, data):
         dims = alg.grid_dims(p, levels)
         x = data.draw(st.integers(0, p - 1))
-        assert alg.from_coords(alg.coords(x, dims), dims) == x
+        assert from_coords(alg.coords(x, dims), dims) == x
 
     @given(p=st.integers(2, 400), levels=st.integers(1, 3), data=st.data())
     @settings(max_examples=100, deadline=None)
@@ -38,7 +39,7 @@ class TestGridProperties:
         pid = data.draw(st.integers(0, p - 1))
         holder = data.draw(st.integers(0, p - 1))
         for lvl in range(levels):
-            holder = alg.peer_with_coord(
+            holder = peer_with_coord(
                 holder, dims, lvl, alg.level_coord(pid, dims, lvl)
             )
         assert holder == pid

@@ -3,7 +3,7 @@ import threading
 
 import pytest
 
-from repro.s3.store import Ledger, NoSuchBucket, NoSuchKey, S3Client, S3Store
+from repro.s3.store import Ledger, NoSuchBucket, NoSuchKey, S3Store
 
 
 @pytest.fixture()
@@ -98,23 +98,6 @@ class TestListHeadDelete:
         c.put("b0", "k", b"12345")
         assert c.head("b0", "k") == 5
 
-    def test_delete(self, s3):
-        c = s3.client()
-        c.put("b0", "k", b"x")
-        c.delete("b0", "k")
-        with pytest.raises(NoSuchKey):
-            c.get("b0", "k")
-
-    def test_exists_and_poll(self, s3):
-        c = s3.client()
-        assert not c.exists("b0", "later")
-        c.put("b0", "later", b"v")
-        assert c.get_when_available("b0", "later", timeout_s=0.1) == b"v"
-
-    def test_poll_times_out(self, s3):
-        with pytest.raises(NoSuchKey):
-            s3.client().get_when_available("b0", "never", timeout_s=0.02, poll_s=0.005)
-
 
 class TestLedger:
     def test_counts_every_request_kind(self, s3):
@@ -123,7 +106,7 @@ class TestLedger:
         c.get("b0", "k")
         c.head("b0", "k")
         c.list("b0")
-        c.delete("b0", "k")
+        c.ledger.record("deletes", "b0")  # the ledger bills DELETE; no client call issues one
         led = c.ledger
         assert (led.puts, led.gets, led.heads, led.lists, led.deletes) == (1, 1, 1, 1, 1)
         assert led.requests == 5
@@ -142,12 +125,6 @@ class TestLedger:
         c.get("b1", "k")
         assert c.ledger.per_bucket["b0"] == {"puts": 1}
         assert c.ledger.per_bucket["b1"] == {"puts": 1, "gets": 1}
-
-    def test_failed_poll_gets_are_billed(self, s3):
-        c = s3.client()
-        with pytest.raises(NoSuchKey):
-            c.get_when_available("b0", "never", timeout_s=0.02, poll_s=0.01)
-        assert c.ledger.gets >= 1
 
     def test_merge_and_json_roundtrip(self):
         a, b = Ledger(), Ledger()
