@@ -5,9 +5,9 @@ Lowers a logical plan into a :class:`PhysicalQuery` with
   * selection push-down: prunable conjuncts (bare column vs literal) become
     the scan's min/max row-group predicate; *all* conjuncts remain as the
     row-level residual filter (pruning is row-group-granular),
-  * a partial/final aggregation split: workers produce partial states
-    (sum/count/min/max; avg becomes sum+count), the driver scope combines
-    them (one Arrow group-by in the driver process).
+  * the aggregate keys and functions, unchanged: ``worker.PARTIAL_STATES``
+    splits each function into the states the serverless scope computes and
+    the driver scope combines.
 """
 from __future__ import annotations
 
@@ -15,14 +15,6 @@ import dataclasses
 
 from . import expr as ex
 from . import plan as pl
-
-
-@dataclasses.dataclass(frozen=True)
-class PartialCol:
-    """One column of the worker partial-state schema."""
-
-    name: str
-    kind: str  # "key" | "sum" | "count" | "min" | "max"
 
 
 @dataclasses.dataclass
@@ -36,22 +28,6 @@ class PhysicalQuery:
     projections: dict | None  # post-filter computed columns
     keys: list
     aggs: list  # list[pl.AggSpec]; empty => no aggregation (row output)
-
-    def partial_schema(self) -> list[PartialCol]:
-        """Worker output columns: keys, then one or two state columns per
-        aggregate (deterministic naming so the driver can combine them)."""
-        cols = [PartialCol(k, "key") for k in self.keys]
-        for a in self.aggs:
-            if a.fn == "sum":
-                cols.append(PartialCol(a.out_name, "sum"))
-            elif a.fn == "count":
-                cols.append(PartialCol(a.out_name, "count"))
-            elif a.fn == "avg":
-                cols.append(PartialCol(a.out_name + "__sum", "sum"))
-                cols.append(PartialCol(a.out_name + "__cnt", "count"))
-            elif a.fn in ("min", "max"):
-                cols.append(PartialCol(a.out_name, a.fn))
-        return cols
 
 
 def compile_plan(plan: pl.Plan) -> PhysicalQuery:

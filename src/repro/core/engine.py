@@ -35,7 +35,7 @@ from . import compile as qc
 from . import expr as ex
 from . import frontend
 from .metrics import QueryMetrics, WorkerMetrics
-from .worker import execute_fragment, run_pipeline
+from .worker import PARTIAL_STATES, execute_fragment, run_pipeline
 
 RESULT_BUCKET = "qresults"
 
@@ -51,24 +51,23 @@ class QueryResult:
     result: pd.DataFrame  # the final (driver-scope) result, collected
     metrics: QueryMetrics
     n_workers: int
-    files_per_worker: int
 
 
 def _final_aggregation(partials: pa.Table, phys: qc.PhysicalQuery) -> pa.Table:
-    """Driver scope: combine the partial states with one Arrow group-by
-    (counts are summed, every other state combines with its own kind)."""
-    states = [c for c in phys.partial_schema() if c.kind != "key"]
-    specs = [(c.name, "sum" if c.kind == "count" else c.kind) for c in states]
+    """Driver scope: combine the partial states with one Arrow group-by,
+    each state by the driver combine of :data:`worker.PARTIAL_STATES`."""
+    specs = [
+        (a.out_name + suffix, combine)
+        for a in phys.aggs
+        for suffix, _, combine in PARTIAL_STATES[a.fn]
+    ]
     combined = partials.group_by(phys.keys, use_threads=False).aggregate(specs)
     # the group-by output puts the keys first, then one column per state
-    cols = dict(zip([c.name for c in states], combined.columns[len(phys.keys):]))
+    states = dict(zip([name for name, _ in specs], combined.columns[len(phys.keys):]))
     out = {k: combined[k] for k in phys.keys}
     for a in phys.aggs:
-        if a.fn == "avg":
-            total, count = cols[a.out_name + "__sum"], cols[a.out_name + "__cnt"]
-            out[a.out_name] = ex._true_divide(total, count)
-        else:
-            out[a.out_name] = cols[a.out_name]
+        parts = [states[a.out_name + suffix] for suffix, _, _ in PARTIAL_STATES[a.fn]]
+        out[a.out_name] = ex._true_divide(*parts) if a.fn == "avg" else parts[0]
     return pa.table(out)
 
 
@@ -77,30 +76,24 @@ def run_query(
     store_root: str,
     query,
     *,
-    n_workers: int | None = None,
-    files_per_worker: int | None = None,
+    files_per_worker: int = 1,
     chunk_bytes: int = 1 << 20,
     footer_hint: int = 1 << 16,
     memory_limit_mib: int | None = None,
     run_id: str | None = None,
 ) -> QueryResult:
-    """Execute a Lambada plan with ``n_workers`` serverless workers.
+    """Execute a Lambada plan with one serverless worker per
+    ``files_per_worker`` input files (the paper's F; W = ceil(files / F)).
 
     ``query`` may be a frontend :class:`Dataset`, a logical plan, or an
-    already-compiled :class:`PhysicalQuery`. Exactly one of ``n_workers`` /
-    ``files_per_worker`` may be given; the default is one worker per file
-    (the paper's F=1).
+    already-compiled :class:`PhysicalQuery`.
     """
+    if not isinstance(files_per_worker, int) or files_per_worker < 1:
+        raise ValueError(f"files_per_worker must be an int >= 1, not {files_per_worker!r}")
     if isinstance(query, frontend.Dataset):
         query = query.plan
     phys = query if isinstance(query, qc.PhysicalQuery) else qc.compile_plan(query)
-    n_files = len(phys.files)
-    if n_workers is not None and files_per_worker is not None:
-        raise ValueError("give n_workers or files_per_worker, not both")
-    if n_workers is None:
-        fpw = files_per_worker or 1
-        n_workers = math.ceil(n_files / fpw)
-    n_workers = min(n_workers, n_files)
+    n_workers = math.ceil(len(phys.files) / files_per_worker)
     run_id = run_id or uuid.uuid4().hex[:12]
 
     S3Store(store_root).create_bucket(RESULT_BUCKET)
@@ -108,8 +101,8 @@ def run_query(
     client = S3Client(store_root)
     first = ParquetScanOperator(client, phys.files[:1], columns=phys.scan_columns or None)
     empty_out, _ = run_pipeline(first.empty_table(), phys)
-    partial_schema = from_arrow_schema(empty_out.schema, prefer_timestamp_ntz=True)
-    out_schema = to_arrow_schema(partial_schema)  # Spark's timestamps are [us]
+    spark_schema = from_arrow_schema(empty_out.schema, prefer_timestamp_ntz=True)
+    out_schema = to_arrow_schema(spark_schema)  # Spark's timestamps are [us]
 
     def _run_workers(batches):
         for batch in batches:
@@ -134,7 +127,7 @@ def run_query(
                 queue.put(RESULT_BUCKET, f"{run_id}/w{wid}.json", m.to_json().encode())
                 yield from partial.to_batches()
 
-    partials = spark.range(n_workers).mapInArrow(_run_workers, partial_schema)
+    partials = spark.range(n_workers).mapInArrow(_run_workers, spark_schema)
     collected = partials.toPandas()  # the only Spark action: runs every worker
 
     # driver reads the result queue: exactly one report per worker of this run
@@ -160,11 +153,10 @@ def run_query(
         result = final.to_pandas()
         final_schema = from_arrow_schema(final.schema, prefer_timestamp_ntz=True)
     else:
-        result, final_schema = collected, partial_schema
+        result, final_schema = collected, spark_schema
     return QueryResult(
         spark_df=spark.createDataFrame(result, schema=final_schema),
         result=result,
         metrics=QueryMetrics(workers),
         n_workers=n_workers,
-        files_per_worker=math.ceil(n_files / n_workers),
     )

@@ -67,11 +67,3 @@ class QueryMetrics:
         for w in self.workers:
             total.merge(w.ledger_obj())
         return total
-
-    @property
-    def bytes_read(self) -> int:
-        return sum(w.ledger_obj().bytes_read for w in self.workers)
-
-    @property
-    def rows_read(self) -> int:
-        return sum(w.rows_read for w in self.workers)

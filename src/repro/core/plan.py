@@ -83,11 +83,14 @@ class AggregateNode(Plan):
 
 
 def validate(plan: Plan) -> None:
-    """Check the chain shape: one Scan at the bottom, at most one Project,
-    at most one Aggregate at the top, filters anywhere in between."""
+    """Check the chain shape: one Scan of at least one file at the bottom,
+    at most one Project, at most one Aggregate at the top, filters anywhere
+    in between."""
     nodes = plan.lineage()
     if not isinstance(nodes[0], ScanNode):
         raise ValueError("plan must start with a scan")
+    if not nodes[0].files:
+        raise ValueError("the scan has no files")
     if sum(isinstance(n, ScanNode) for n in nodes) != 1:
         raise ValueError("exactly one scan supported")
     aggs = [i for i, n in enumerate(nodes) if isinstance(n, AggregateNode)]

@@ -29,6 +29,21 @@ from .metrics import WorkerMetrics
 
 _ALL_ROWS = pc.CountOptions(mode="all")
 
+#: The partial states of each aggregate function, for the worker and the
+#: driver alike: (column suffix, worker aggregate, driver combine). A state
+#: column is named ``out_name + suffix``; the worker aggregate is an Arrow
+#: hash aggregate with its options, the driver combine one over the states
+#: of all workers. Like SQL, ``count`` counts every row and the other
+#: functions skip nulls: ``avg`` is a sum and a count of the non-null
+#: values, which the driver divides.
+PARTIAL_STATES = {
+    "sum": (("", ("sum",), "sum"),),
+    "count": (("", ("count", _ALL_ROWS), "sum"),),
+    "avg": (("__sum", ("sum",), "sum"), ("__cnt", ("count",), "sum")),
+    "min": (("", ("min",), "min"),),
+    "max": (("", ("max",), "max"),),
+}
+
 
 class WorkerOOM(MemoryError):
     """Fragment would exceed the function's memory limit."""
@@ -56,31 +71,22 @@ def _filter_project(table: pa.Table, phys: qc.PhysicalQuery) -> pa.Table:
 
 
 def _partial_aggregate(rows: pa.Table, phys: qc.PhysicalQuery) -> pa.Table:
-    """Partial aggregation states of one worker's rows, named as in
-    ``phys.partial_schema()``.
+    """Partial aggregation states of one worker's rows: the keys, then the
+    :data:`PARTIAL_STATES` of each aggregate in order.
 
     Each aggregate expression is evaluated once over the whole table, then
-    one Arrow group-by computes every state. Like SQL, ``count`` counts
-    every row and the other functions skip nulls (``avg`` is a sum and a
-    count of the non-null values). A keyless aggregate yields one row even
-    over no rows: its counts are 0 and its other states null.
+    one Arrow group-by computes every state. A keyless aggregate yields one
+    row even over no rows: its counts are 0 and its other states null.
     """
     cols = {k: rows[k] for k in phys.keys}
     specs = []
     for a in phys.aggs:
-        if a.fn == "count":
-            states = [(a.out_name, pa.nulls(rows.num_rows), "count", _ALL_ROWS)]
-        elif a.fn == "avg":
-            values = _column(a.expr, rows)
-            states = [
-                (a.out_name + "__sum", values, "sum", None),
-                (a.out_name + "__cnt", values, "count", None),
-            ]
-        else:
-            states = [(a.out_name, _column(a.expr, rows), a.fn, None)]
-        for name, values, fn, options in states:
+        # count(*) reads no column: it counts the entries of an all-null one
+        values = pa.nulls(rows.num_rows) if a.expr is None else _column(a.expr, rows)
+        for suffix, worker_agg, _ in PARTIAL_STATES[a.fn]:
+            name = a.out_name + suffix
             cols[name] = values
-            specs.append((name, fn, options))
+            specs.append((name, *worker_agg))
     # the group-by output puts the keys first, then one column per spec
     out = pa.table(cols).group_by(phys.keys, use_threads=False).aggregate(specs)
     return out.rename_columns([*phys.keys, *(s[0] for s in specs)])

@@ -24,16 +24,11 @@ class ExchangeSpec:
 
     levels: int = 1
     write_combining: bool = False
-    #: wc offsets channel: "filename" (offsets in the key, discovered via
-    #: LIST) or "sidecar" (separate offsets object, doubling reads).
-    offsets_mode: str = "filename"
     n_buckets: int = 10
 
     def __post_init__(self):
         if self.levels < 1:
             raise ValueError("levels must be >= 1")
-        if self.offsets_mode not in ("filename", "sidecar"):
-            raise ValueError(f"bad offsets_mode {self.offsets_mode!r}")
 
     @property
     def label(self) -> str:
@@ -105,19 +100,14 @@ def expected_requests(n_workers: int, spec: ExchangeSpec) -> dict:
     """Exact request counts our runner issues, per level and total.
 
     Per level l with group size d_l: every worker reads one (part of a) file
-    per sender in its group and LISTs once for discovery/readiness (except in
-    sidecar mode, where offsets come from a second GET per sender).
+    per sender in its group and LISTs once for discovery/readiness. It writes
+    one file per group member, or one combined file under write combining
+    (offsets in the file name, so the same LIST finds them).
     """
     dims = grid_dims(n_workers, spec.levels)
     per_level = []
     for d in dims:
-        if spec.write_combining:
-            if spec.offsets_mode == "filename":
-                lvl = dict(puts=n_workers, gets=n_workers * d, lists=n_workers)
-            else:  # sidecar: data file + offsets file; 2 gets per sender
-                lvl = dict(puts=2 * n_workers, gets=2 * n_workers * d, lists=0)
-        else:
-            lvl = dict(puts=n_workers * d, gets=n_workers * d, lists=n_workers)
-        per_level.append(lvl)
+        puts = n_workers if spec.write_combining else n_workers * d
+        per_level.append(dict(puts=puts, gets=n_workers * d, lists=n_workers))
     total = {k: sum(lvl[k] for lvl in per_level) for k in ("puts", "gets", "lists")}
     return {"dims": dims, "per_level": per_level, **total, "scans": spec.levels}

@@ -63,16 +63,6 @@ def parse_combined(key: str) -> tuple[int, list[int]]:
     return int(s[1:]), decode_lengths(o)
 
 
-def sidecar_data_key(run_id: str, level: int, gid: int, sender: int) -> str:
-    """Write-combined data file for the separate-offsets-file variant."""
-    return f"{group_prefix(run_id, level, gid)}s{sender}.dat"
-
-
-def sidecar_offsets_key(run_id: str, level: int, gid: int, sender: int) -> str:
-    """The separate offsets file ("which doubles the amount of read requests")."""
-    return f"{group_prefix(run_id, level, gid)}s{sender}.off"
-
-
 def input_key(run_id: str, worker: int) -> str:
     """Initial per-worker input share (the relation R in Algorithm 1)."""
     return f"{run_id}/in/w{worker}"

@@ -27,7 +27,6 @@ tests assert equals :func:`algorithms.expected_requests` exactly.
 from __future__ import annotations
 
 import dataclasses
-import json
 import uuid
 
 import numpy as np
@@ -42,6 +41,8 @@ from ..s3.store import Ledger, NoSuchKey, S3Client, S3Store
 from . import algorithms as alg
 from . import naming, serde
 
+#: the column whose hash decides a record's partition
+KEY = "k"
 #: what the distribute and level phases return: rows handled per worker
 _COUNTS_DDL = "worker int, rows long"
 _COUNTS = pa.schema([("worker", pa.int32()), ("rows", pa.int64())])
@@ -64,10 +65,6 @@ class ExchangeReport:
     input_ledger: Ledger  # the distribute/read-input traffic (the "scan")
     per_phase: list  # Ledger per level phase
 
-    @property
-    def requests(self) -> dict:
-        return {"puts": self.ledger.puts, "gets": self.ledger.gets, "lists": self.ledger.lists}
-
 
 class _LedgerSum(AccumulatorParam):
     """Accumulates the workers' :class:`Ledger`s of one phase."""
@@ -88,7 +85,7 @@ def _read_level_files(
     bucket = naming.bucket_for_group(gid, spec.n_buckets)
     my = alg.level_coord(p, dims, level)
     tables = []
-    if spec.write_combining and spec.offsets_mode == "filename":
+    if spec.write_combining:
         # one LIST discovers every sender's key, offsets included in the name
         keys = client.list(bucket, naming.group_prefix(run_id, level, gid))
         if len(keys) != d:
@@ -97,17 +94,6 @@ def _read_level_files(
             _, lengths = naming.parse_combined(key)
             off, length = serde.part_range(lengths, my)
             blob = client.get(bucket, key, offset=off, length=length)
-            if length:
-                tables.append(serde.bytes_to_frame(blob))
-    elif spec.write_combining:  # sidecar offsets file: two GETs per sender
-        for s in range(d):
-            lengths = json.loads(
-                client.get(bucket, naming.sidecar_offsets_key(run_id, level, gid, s))
-            )
-            off, length = serde.part_range(lengths, my)
-            blob = client.get(
-                bucket, naming.sidecar_data_key(run_id, level, gid, s), offset=off, length=length
-            )
             if length:
                 tables.append(serde.bytes_to_frame(blob))
     else:
@@ -143,15 +129,7 @@ def _write_level_files(
     parts = [serde.frame_to_bytes(rows.slice(a, b - a)) for a, b in zip(starts, ends)]
     if spec.write_combining:
         blob, lengths = serde.combine(parts)
-        if spec.offsets_mode == "filename":
-            client.put(bucket, naming.combined_key(run_id, level, gid, me, lengths), blob)
-        else:
-            client.put(
-                bucket,
-                naming.sidecar_offsets_key(run_id, level, gid, me),
-                json.dumps(lengths).encode(),
-            )
-            client.put(bucket, naming.sidecar_data_key(run_id, level, gid, me), blob)
+        client.put(bucket, naming.combined_key(run_id, level, gid, me, lengths), blob)
     else:
         for v, payload in enumerate(parts):
             client.put(bucket, naming.part_key(run_id, level, gid, me, v), payload)
@@ -164,11 +142,10 @@ def run_exchange(
     spec: alg.ExchangeSpec,
     store: S3Store,
     *,
-    key_col: str = "k",
     run_id: str | None = None,
 ) -> tuple[DataFrame, ExchangeReport]:
     """Exchange ``df`` among ``n_workers`` serverless workers so that every
-    record ends on the worker given by ``hash(key) % n_workers``.
+    record ends on the worker given by ``hash(KEY) % n_workers``.
 
     Returns the collected output (with ``pid`` and ``worker`` columns, which
     must agree) and the request accounting. The output is cached; the caller
@@ -186,7 +163,7 @@ def run_exchange(
     collect_acc = sc.accumulator(Ledger(), _LedgerSum())
 
     # partition ID and source-worker assignment (both hash-based, as in Alg 1)
-    k = F.col(key_col)
+    k = F.col(KEY)
     df2 = df.withColumns(
         {
             "pid": F.pmod(F.xxhash64(k), F.lit(n_workers)).cast("int"),

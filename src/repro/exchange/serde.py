@@ -26,7 +26,7 @@ def combine(parts: list[bytes]) -> tuple[bytes, list[int]]:
     """Concatenate part payloads into one blob; returns (blob, part lengths).
 
     Offsets are the running sums of the lengths — what the combined-file name
-    (or the sidecar offsets file) communicates to receivers.
+    communicates to receivers.
     """
     return b"".join(parts), [len(p) for p in parts]
 

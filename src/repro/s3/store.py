@@ -16,7 +16,6 @@ of the shared-storage data plane.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import re
 import tempfile
@@ -82,13 +81,6 @@ class Ledger:
             for op, n in ops.items():
                 mine[op] = mine.get(op, 0) + n
         return self
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self))
-
-    @classmethod
-    def from_json(cls, s: str) -> "Ledger":
-        return cls(**json.loads(s))
 
 
 class S3Store:

@@ -109,23 +109,29 @@ class ParquetScanOperator:
         return True
 
     # -- operator interface ---------------------------------------------------
+    def _open(self, bucket: str, key: str) -> tuple[S3RandomAccessFile, "pq.FileMetaData"]:
+        """Open one file and parse its footer from the prefetched tail window.
+
+        Handing pyarrow this FileMetaData makes metadata cost exactly one GET
+        ("the library loads this metadata with a single file read") and
+        skips pyarrow's own 64 KiB speculative tail read. The first footer
+        read also fixes the scan's Arrow schema.
+        """
+        f = S3RandomAccessFile(
+            self.client, bucket, key, chunk_bytes=self.chunk_bytes, footer_hint=self.footer_hint
+        )
+        meta = _footer_metadata(f)
+        if self._schema is None:
+            self._schema = meta.schema.to_arrow_schema()
+        return f, meta
+
     def tables(self) -> Iterator[pa.Table]:
         """open/next/close: yields one Arrow table per surviving row group."""
         for bucket, key in self.files:
-            f = S3RandomAccessFile(
-                self.client, bucket, key, chunk_bytes=self.chunk_bytes, footer_hint=self.footer_hint
-            )
-            # Parse the footer from the prefetched tail window ourselves and
-            # hand pyarrow the FileMetaData: metadata costs exactly one GET
-            # ("the library loads this metadata with a single file read") and
-            # pyarrow skips its own 64 KiB speculative tail read. pre_buffer
-            # stays off — its range coalescing merges the gaps between column
-            # chunks and would re-download pruned-out columns.
-            meta_obj = _footer_metadata(f)
-            pf = pq.ParquetFile(f, metadata=meta_obj, pre_buffer=False)
-            if self._schema is None:
-                self._schema = pf.schema_arrow
-            meta = pf.metadata
+            f, meta = self._open(bucket, key)
+            # pre_buffer stays off — its range coalescing merges the gaps
+            # between column chunks and would re-download pruned-out columns.
+            pf = pq.ParquetFile(f, metadata=meta, pre_buffer=False)
             self.metrics.row_groups_total += meta.num_row_groups
             for rg in range(meta.num_row_groups):
                 if not self._keep_row_group(meta, rg):
@@ -152,21 +158,15 @@ class ParquetScanOperator:
                 yield tbl
             f.close()
 
-    def read_all(self) -> pa.Table:
-        """Materialise the whole scan as one Arrow table (empty-but-typed
-        when everything was pruned)."""
-        return pa.concat_tables(list(self.tables()) or [self.empty_table()])
-
     def empty_table(self) -> pa.Table:
         """Typed empty result. Reuses the footer already read by
         :meth:`tables` so a fully pruned worker stays metadata-only (one S3
-        round-trip, the 100-200 ms category of Fig 11)."""
-        schema = self._schema
-        if schema is None:
-            bucket, key = self.files[0]
-            f = S3RandomAccessFile(self.client, bucket, key, chunk_bytes=self.chunk_bytes)
-            schema = pq.ParquetFile(f).schema_arrow
+        round-trip, the 100-200 ms category of Fig 11); otherwise reads the
+        first file's footer the same way, under the same ``footer_hint``."""
+        if self._schema is None:
+            f, _ = self._open(*self.files[0])
             f.close()
+        schema = self._schema
         if self.columns is not None:
             schema = pa.schema([schema.field(c) for c in self.columns])
         return schema.empty_table()

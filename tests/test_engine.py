@@ -45,7 +45,7 @@ class TestQ1:
         less than the full table, and the data GETs beyond the footer window
         track the used columns (±chunk rounding)."""
         used_comp, _ = mq1.info.used_column_bytes(queries.Q1_COLUMNS)
-        bytes_read = mq1.result.metrics.bytes_read
+        bytes_read = mq1.result.metrics.total_ledger.bytes_read
         assert bytes_read < mq1.info.total_compressed_bytes
         footer_windows = mq1.result.n_workers * (1 << 14)  # one per file
         assert bytes_read - footer_windows < used_comp * 1.6
@@ -82,14 +82,15 @@ class TestQ6:
 
     def test_q6_cheaper_than_q1_in_bytes(self, mq1, mq6):
         """Selection + projection push-down pay off."""
-        assert mq6.result.metrics.bytes_read < 0.5 * mq1.result.metrics.bytes_read
+        q6, q1 = mq6.result.metrics.total_ledger, mq1.result.metrics.total_ledger
+        assert q6.bytes_read < 0.5 * q1.bytes_read
 
 
 class TestEngineMechanics:
     def test_listing1_pipeline(self, spark, store_root, lineitem_ds):
         info, pdf = lineitem_ds
         src = Lambada(store_root).from_files(info.files)
-        res = engine.run_query(spark, store_root, queries.listing1(src), n_workers=4)
+        res = engine.run_query(spark, store_root, queries.listing1(src), files_per_worker=4)
         oracle.assert_equivalent(res.spark_df, queries.LISTING1_SQL, lineitem=pdf)
 
     def test_fewer_workers_than_files(self, spark, store_root, lineitem_ds):
@@ -99,19 +100,14 @@ class TestEngineMechanics:
         assert res.n_workers == 4
         oracle.assert_equivalent(res.spark_df, queries.Q6_SQL, lineitem=pdf)
 
-    def test_worker_count_capped_at_files(self, spark, store_root, lineitem_ds):
+    @pytest.mark.parametrize("fpw", [-2, 0])
+    def test_bad_files_per_worker_rejected(self, spark, store_root, lineitem_ds, fpw):
+        """F must be a whole number of files: a negative F would run a
+        negative worker count, and 0 would divide by zero."""
         info, _ = lineitem_ds
         src = Lambada(store_root).from_files(info.files)
-        res = engine.run_query(spark, store_root, queries.q6(src), n_workers=999)
-        assert res.n_workers == 16
-
-    def test_conflicting_worker_args_rejected(self, spark, store_root, lineitem_ds):
-        info, _ = lineitem_ds
-        src = Lambada(store_root).from_files(info.files)
-        with pytest.raises(ValueError):
-            engine.run_query(
-                spark, store_root, queries.q6(src), n_workers=2, files_per_worker=2
-            )
+        with pytest.raises(ValueError, match="files_per_worker"):
+            engine.run_query(spark, store_root, queries.q6(src), files_per_worker=fpw)
 
     def test_oom_reported_not_silent(self, spark, store_root, lineitem_ds):
         """§3.3: the handler reports OOM 'to the driver rather than dying
@@ -120,7 +116,7 @@ class TestEngineMechanics:
         src = Lambada(store_root).from_files(info.files)
         with pytest.raises(engine.WorkerError, match="WorkerOOM"):
             engine.run_query(
-                spark, store_root, queries.q1(src), n_workers=2, memory_limit_mib=1
+                spark, store_root, queries.q1(src), files_per_worker=8, memory_limit_mib=1
             )
 
     def test_from_parquet_glob(self, spark, store_root, lineitem_ds):
@@ -178,12 +174,12 @@ class TestEngineMechanics:
 
     @pytest.mark.parametrize(
         "workers",
-        [{"n_workers": 3}, {"n_workers": 5}, {"n_workers": 16}, {"files_per_worker": 3}],
-        ids=["n3", "n5", "n16", "fpw3"],
+        [{"files_per_worker": 6}, {"files_per_worker": 1}, {"files_per_worker": 3}],
+        ids=["n3", "n16", "fpw3"],  # 3, 16 and 6 workers over the 16 files
     )
     def test_file_assignment(self, spark, store_root, lineitem_ds, mq1, workers):
         """Also when the worker IDs do not split evenly over the job's
-        ``defaultParallelism`` tasks (3, 5 and 6 workers), every file is
+        ``defaultParallelism`` tasks (3 and 6 workers), every file is
         scanned by exactly one worker and every worker reports exactly once."""
         info, pdf = lineitem_ds
         src = Lambada(store_root).from_files(info.files)
@@ -191,7 +187,9 @@ class TestEngineMechanics:
         res = engine.run_query(spark, store_root, queries.q1(src), run_id=run_id, **workers)
         ws = res.metrics.workers
         assert sum(w.n_files for w in ws) == 16
-        assert res.metrics.rows_read == mq1.result.metrics.rows_read
+        assert sum(w.rows_read for w in ws) == sum(
+            w.rows_read for w in mq1.result.metrics.workers
+        )
         qdir = Path(store_root) / engine.RESULT_BUCKET / run_id
         reports = sorted(p.name for p in qdir.iterdir())
         assert reports == sorted(f"w{w}.json" for w in range(res.n_workers))
@@ -205,8 +203,8 @@ class TestEngineMechanics:
         info, _ = lineitem_ds
         src = Lambada(store_root).from_files(info.files)
         run_id = uuid.uuid4().hex[:12]
-        engine.run_query(spark, store_root, queries.q6(src), n_workers=4, run_id=run_id)
-        res = engine.run_query(spark, store_root, queries.q6(src), n_workers=2, run_id=run_id)
+        engine.run_query(spark, store_root, queries.q6(src), files_per_worker=4, run_id=run_id)
+        res = engine.run_query(spark, store_root, queries.q6(src), files_per_worker=8, run_id=run_id)
         assert res.metrics.n_workers == 2
         assert [w.worker_id for w in res.metrics.workers] == [0, 1]
         assert sum(w.n_files for w in res.metrics.workers) == 16
@@ -244,7 +242,7 @@ class TestTypedAggregates:
     def test_matches_duckdb(self, spark, store_root, lineitem_ds, fn, column):
         info, pdf = lineitem_ds
         src = Lambada(store_root).from_files(info.files)
-        res = engine.run_query(spark, store_root, src.reduce(fn, col(column)), n_workers=4)
+        res = engine.run_query(spark, store_root, src.reduce(fn, col(column)), files_per_worker=4)
         sql = f"SELECT {fn}({column}) AS value FROM lineitem"
         oracle.assert_equivalent(res.spark_df, sql, lineitem=pdf)
         if fn == "sum":
@@ -293,7 +291,7 @@ class TestLiteralExpressions:
             q, v = src.reduce("sum", lit(1)), "1"
         else:
             q, v = src.map(v=lit(2.0)).reduce("sum", col("v")), "2.0"
-        res = engine.run_query(spark, store_root, q, n_workers=4)
+        res = engine.run_query(spark, store_root, q, files_per_worker=4)
         oracle.assert_equivalent(res.spark_df, self.SQL.format(v=v), lineitem=pdf)
 
 

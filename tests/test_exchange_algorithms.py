@@ -132,13 +132,6 @@ class TestExpectedRequests:
         assert exp["puts"] == levels * 64
         assert exp["lists"] == levels * 64
 
-    def test_sidecar_doubles_reads_and_writes(self):
-        fn = alg.expected_requests(64, alg.ExchangeSpec(2, True, "filename"))
-        sc = alg.expected_requests(64, alg.ExchangeSpec(2, True, "sidecar"))
-        assert sc["gets"] == 2 * fn["gets"]
-        assert sc["puts"] == 2 * fn["puts"]
-        assert sc["lists"] == 0
-
     def test_matches_paper_closed_forms_for_square_counts(self):
         for levels in (1, 2):
             for wc in (False, True):
@@ -155,8 +148,6 @@ class TestExpectedRequests:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             alg.ExchangeSpec(0, False)
-        with pytest.raises(ValueError):
-            alg.ExchangeSpec(2, True, "telepathy")
 
     def test_labels(self):
         assert alg.ExchangeSpec(1, False).label == "1l"

@@ -44,11 +44,6 @@ class TestNaming:
         assert naming.decode_lengths(naming.encode_lengths([1, 0, 99])) == [1, 0, 99]
         assert naming.decode_lengths("") == []
 
-    def test_sidecar_keys_distinct(self):
-        d = naming.sidecar_data_key("r", 0, 1, 2)
-        o = naming.sidecar_offsets_key("r", 0, 1, 2)
-        assert d != o and d.startswith(naming.group_prefix("r", 0, 1))
-
 
 class TestSerde:
     def _table(self, n=100):

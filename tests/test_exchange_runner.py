@@ -19,7 +19,6 @@ SPECS = [
     alg.ExchangeSpec(1, True),
     alg.ExchangeSpec(2, False),
     alg.ExchangeSpec(2, True),
-    alg.ExchangeSpec(2, True, "sidecar"),
     alg.ExchangeSpec(3, False),
     alg.ExchangeSpec(3, True),
 ]
@@ -44,7 +43,7 @@ def _run(spark, xinput, xstore, spec, P):
     return pdf, rep, in_pdf
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label + ("-sc" if s.offsets_mode == "sidecar" else ""))
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label)
 class TestAllVariants:
     P = {1: 8, 2: 16, 3: 27}
 
@@ -140,4 +139,5 @@ def test_empty_shares(spark, xinput, few_keys, xstore, spec):
     b = few_keys[1][["k", "v"]].sort_values(["k", "v"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(a, b)
     exp = alg.expected_requests(P, spec)
-    assert rep.requests == {k: exp[k] for k in ("puts", "gets", "lists")}
+    got = {k: getattr(rep.ledger, k) for k in ("puts", "gets", "lists")}
+    assert got == {k: exp[k] for k in ("puts", "gets", "lists")}

@@ -1,10 +1,15 @@
-"""Guard against code that only tests run.
+"""Guard against code and knobs that only tests run.
 
 Every top-level function and class of ``src/repro``, and every method of a
 top-level class, must be referenced from ``src/``, ``jobs/``, ``benchmarks/``
 or ``perfbench/`` somewhere outside its own definition. A reference is any
 use of the name as an identifier, attribute or import. Reference models that
 only tests need belong in ``tests/``.
+
+Likewise every settable value of the workloads' entry points (a defaulted
+parameter of ``run_query`` or ``run_exchange``, a field of ``ExchangeSpec``)
+must be passed by some call in those directories: a branch that only a
+test's argument selects is code that only tests run.
 """
 import ast
 from pathlib import Path
@@ -97,3 +102,58 @@ def test_allowlist_names_existing_definitions():
         for qual, _ in _definitions(tree)
     }
     assert set(ALLOWLIST) <= defined
+
+
+#: (module path relative to src/repro, callable): the workloads' entry points.
+KNOB_OWNERS = (
+    ("core/engine.py", "run_query"),
+    ("exchange/runner.py", "run_exchange"),
+    ("exchange/algorithms.py", "ExchangeSpec"),
+)
+#: knob -> why no call in the program's own code passes it.
+KNOB_ALLOWLIST = {
+    "memory_limit_mib": "the §3.3 memory guard, a safety path the OOM test drives",
+    "n_buckets": "the installation-time bucket count of §4.4.1",
+}
+
+
+def _knobs(tree: ast.Module, name: str) -> tuple[list, list]:
+    """(every parameter in call order, the settable ones) of the function
+    ``name`` (its defaulted parameters) or dataclass ``name`` (its fields)."""
+    (node,) = [n for n in tree.body if getattr(n, "name", None) == name]
+    if isinstance(node, ast.ClassDef):
+        fields = [n.target.id for n in node.body if isinstance(n, ast.AnnAssign)]
+        return fields, fields
+    a = node.args
+    positional = [x.arg for x in a.posonlyargs + a.args]
+    settable = positional[len(positional) - len(a.defaults):]
+    settable += [x.arg for x, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return positional, settable
+
+
+def _passed(trees, name: str, params: list) -> set:
+    """Parameters of ``name`` that some call passes, by keyword or position."""
+    passed = set()
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if getattr(func, "id", None) != name and getattr(func, "attr", None) != name:
+                continue
+            passed |= {kw.arg for kw in node.keywords if kw.arg is not None}
+            passed |= set(params[: len(node.args)])
+    return passed
+
+
+def test_every_knob_is_set_outside_tests():
+    trees = list(_parsed())
+    by_path = dict(trees)
+    unset, knobs = [], set()
+    for rel, name in KNOB_OWNERS:
+        params, settable = _knobs(by_path[SRC / rel], name)
+        knobs |= set(settable)
+        passed = _passed(trees, name, params)
+        unset += [k for k in settable if k not in passed and k not in KNOB_ALLOWLIST]
+    assert unset == []
+    assert set(KNOB_ALLOWLIST) <= knobs

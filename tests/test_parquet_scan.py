@@ -31,6 +31,12 @@ def _frame() -> pd.DataFrame:
     )
 
 
+def _read_all(op: ParquetScanOperator) -> pa.Table:
+    """The whole scan as one Arrow table (empty but typed when everything
+    was pruned), as a worker assembles it."""
+    return pa.concat_tables(list(op.tables()) or [op.empty_table()])
+
+
 @pytest.fixture(scope="module")
 def scan_env(tmp_path_factory):
     root = tmp_path_factory.mktemp("scanstore")
@@ -59,13 +65,13 @@ class TestCorrectness:
     def test_full_scan_matches_source(self, scan_env):
         store, files, pdf = scan_env
         op = ParquetScanOperator(store.client(), files)
-        got = op.read_all().to_pandas()
+        got = _read_all(op).to_pandas()
         pd.testing.assert_frame_equal(got.reset_index(drop=True), pdf.reset_index(drop=True))
 
     def test_projection_returns_only_columns(self, scan_env):
         store, files, pdf = scan_env
         op = ParquetScanOperator(store.client(), files, columns=["x", "z"])
-        got = op.read_all().to_pandas()
+        got = _read_all(op).to_pandas()
         assert list(got.columns) == ["x", "z"]
         pd.testing.assert_series_equal(got["z"], pdf["z"], check_index=False)
 
@@ -80,16 +86,34 @@ class TestCorrectness:
         store, files, pdf = scan_env
         pred = [(ex.col("x") < ex.lit(1))]
         op = ParquetScanOperator(store.client(), files, predicate=pred)
-        got = op.read_all().to_pandas()
+        got = _read_all(op).to_pandas()
         rg_rows = N // (N_FILES * ROW_GROUPS)
         assert len(got) == rg_rows
         assert got["x"].max() < rg_rows
+
+    def test_empty_table_reads_one_footer_under_the_hint(self, tmp_path):
+        """Without a scan before it, ``empty_table`` reads the first file's
+        footer like ``tables`` does: one HEAD and one GET of the operator's
+        ``footer_hint``, not a default 64 KiB tail."""
+        store = S3Store(tmp_path)
+        store.create_bucket("d")
+        g = np.random.default_rng(3)
+        buf = io.BytesIO()
+        pq.write_table(pa.table({"y": g.random(20_000), "z": g.random(20_000)}), buf)
+        assert len(buf.getvalue()) > 1 << 16
+        store.client().put("d", "big.parquet", buf.getvalue())
+        client = store.client()
+        op = ParquetScanOperator(client, [("d", "big.parquet")], columns=["z"], footer_hint=1 << 14)
+        out = op.empty_table()
+        assert out.num_rows == 0 and out.schema.names == ["z"]
+        assert (client.ledger.heads, client.ledger.gets) == (1, 1)
+        assert client.ledger.bytes_read <= 1 << 14
 
     def test_empty_table_has_schema(self, scan_env):
         store, files, _ = scan_env
         pred = [(ex.col("x") > ex.lit(10 * N))]
         op = ParquetScanOperator(store.client(), files, columns=["y"], predicate=pred)
-        out = op.read_all()
+        out = _read_all(op)
         assert out.num_rows == 0
         assert out.schema.names == ["y"]
 
@@ -104,7 +128,7 @@ class TestPruning:
         op = ParquetScanOperator(
             store.client(), files, predicate=[(ex.col("x") <= ex.lit(cutoff))]
         )
-        op.read_all()
+        _read_all(op)
         assert op.metrics.row_groups_scanned == expected_groups
         assert op.metrics.row_groups_total == N_FILES * ROW_GROUPS
 
@@ -116,7 +140,7 @@ class TestPruning:
         op = ParquetScanOperator(
             client, files[-1:], predicate=[(ex.col("x") < ex.lit(0))]
         )
-        out = op.read_all()
+        out = _read_all(op)
         assert out.num_rows == 0
         assert op.metrics.pruned_all
         # HEAD for the size + the single footer GET; no data chunks
@@ -134,7 +158,7 @@ class TestPruning:
         op = ParquetScanOperator(
             store.client(), files, predicate=[(ex.col("nosuchcol") <= ex.lit(5))]
         )
-        op.read_all()
+        _read_all(op)
         assert op.metrics.row_groups_scanned == N_FILES * ROW_GROUPS
 
 
@@ -145,25 +169,25 @@ class TestRequestAccounting:
     def test_projection_reduces_bytes_read(self, scan_env):
         store, files, _ = scan_env
         c_all, c_two = store.client(), store.client()
-        ParquetScanOperator(c_all, files, **self.IO).read_all()
-        ParquetScanOperator(c_two, files, columns=["x"], **self.IO).read_all()
+        _read_all(ParquetScanOperator(c_all, files, **self.IO))
+        _read_all(ParquetScanOperator(c_two, files, columns=["x"], **self.IO))
         assert c_two.ledger.bytes_read < c_all.ledger.bytes_read
         assert c_two.ledger.gets < c_all.ledger.gets
 
     def test_pruning_reduces_requests(self, scan_env):
         store, files, _ = scan_env
         c_all, c_pruned = store.client(), store.client()
-        ParquetScanOperator(c_all, files, **self.IO).read_all()
-        ParquetScanOperator(
-            c_pruned, files, predicate=[(ex.col("x") < ex.lit(1))], **self.IO
-        ).read_all()
+        _read_all(ParquetScanOperator(c_all, files, **self.IO))
+        _read_all(
+            ParquetScanOperator(c_pruned, files, predicate=[(ex.col("x") < ex.lit(1))], **self.IO)
+        )
         assert c_pruned.ledger.gets < c_all.ledger.gets
         assert c_pruned.ledger.bytes_read < c_all.ledger.bytes_read
 
     def test_metrics_byte_accounting_positive(self, scan_env):
         store, files, _ = scan_env
         op = ParquetScanOperator(store.client(), files, columns=["x", "y"])
-        op.read_all()
+        _read_all(op)
         m = op.metrics
         assert m.rows_read == N
         assert 0 < m.compressed_bytes <= m.uncompressed_bytes * 1.1
@@ -173,6 +197,6 @@ class TestRequestAccounting:
         counts = {}
         for chunk in (2**12, 2**14):
             c = store.client()
-            ParquetScanOperator(c, files, chunk_bytes=chunk, footer_hint=2**12).read_all()
+            _read_all(ParquetScanOperator(c, files, chunk_bytes=chunk, footer_hint=2**12))
             counts[chunk] = c.ledger.gets
         assert counts[2**12] > counts[2**14]

@@ -1,8 +1,10 @@
 """Logical plans, the Listing-1 frontend, and compilation push-downs."""
+import pyarrow as pa
 import pytest
 
 from repro.core import compile as qc
 from repro.core import plan as pl
+from repro.core import worker
 from repro.core.expr import col, lit
 from repro.core.frontend import Dataset
 
@@ -48,6 +50,12 @@ class TestPlanShape:
         with pytest.raises(ValueError):
             pl.AggregateNode(pl.ScanNode(FILES), [], [])
 
+    def test_scan_without_files_rejected(self):
+        """Caught at compile time, before the driver probes a first file."""
+        q = Dataset(pl.ScanNode([])).reduce("sum", col("a"))
+        with pytest.raises(ValueError, match="no files"):
+            qc.compile_plan(q.plan)
+
 
 class TestPushdowns:
     def test_projection_pushdown_collects_used_columns(self):
@@ -92,14 +100,21 @@ class TestPushdowns:
 
 
 class TestPartialSchema:
+    """The worker's output columns, as its own pipeline emits them over
+    zero typed rows (which is how the driver learns them)."""
+
+    SCAN = pa.schema([(c, pa.float64()) for c in ("a", "k", "k1", "k2")])
+
+    def _names(self, q) -> list:
+        out, _ = worker.run_pipeline(self.SCAN.empty_table(), qc.compile_plan(q.plan))
+        return out.schema.names
+
     def test_avg_splits_into_sum_and_count(self):
         q = source().aggregate(
             ["k"],
             [pl.AggSpec("m", "avg", col("a")), pl.AggSpec("n", "count")],
         )
-        phys = qc.compile_plan(q.plan)
-        names = [c.name for c in phys.partial_schema()]
-        assert names == ["k", "m__sum", "m__cnt", "n"]
+        assert self._names(q) == ["k", "m__sum", "m__cnt", "n"]
 
     def test_sum_min_max_stay_single_column(self):
         q = source().aggregate(
@@ -110,10 +125,8 @@ class TestPartialSchema:
                 pl.AggSpec("hi", "max", col("a")),
             ],
         )
-        names = [c.name for c in qc.compile_plan(q.plan).partial_schema()]
-        assert names == ["s", "lo", "hi"]
+        assert self._names(q) == ["s", "lo", "hi"]
 
     def test_keys_lead_the_schema(self):
         q = source().aggregate(["k1", "k2"], [pl.AggSpec("s", "sum", col("a"))])
-        cols = qc.compile_plan(q.plan).partial_schema()
-        assert [c.kind for c in cols[:2]] == ["key", "key"]
+        assert self._names(q) == ["k1", "k2", "s"]

@@ -3,6 +3,7 @@ import threading
 
 import pytest
 
+from repro.core.metrics import WorkerMetrics
 from repro.s3.store import Ledger, NoSuchBucket, NoSuchKey, S3Store
 
 
@@ -127,6 +128,9 @@ class TestLedger:
         assert c.ledger.per_bucket["b1"] == {"puts": 1, "gets": 1}
 
     def test_merge_and_json_roundtrip(self):
+        """A worker's ledger travels to the driver in its result-queue
+        report: ``WorkerMetrics.to_json``, then ``from_json`` and
+        ``ledger_obj()`` on the driver."""
         a, b = Ledger(), Ledger()
         a.record("puts", "x", 10)
         b.record("gets", "x", 5)
@@ -134,8 +138,8 @@ class TestLedger:
         a.merge(b)
         assert (a.puts, a.gets) == (2, 1)
         assert a.bytes_written == 11 and a.bytes_read == 5
-        again = Ledger.from_json(a.to_json())
-        assert again == a
+        report = WorkerMetrics(worker_id=3, ledger=vars(a).copy()).to_json()
+        assert WorkerMetrics.from_json(report).ledger_obj() == a
 
     def test_unknown_op_rejected(self):
         with pytest.raises(ValueError):
