@@ -19,7 +19,6 @@ from __future__ import annotations
 import time
 
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from ..s3.store import S3Client
 from ..scan.parquet_scan import ParquetScanOperator
@@ -27,18 +26,16 @@ from . import compile as qc
 from . import expr as ex
 from .metrics import WorkerMetrics
 
-_ALL_ROWS = pc.CountOptions(mode="all")
-
 #: The partial states of each aggregate function, for the worker and the
 #: driver alike: (column suffix, worker aggregate, driver combine). A state
 #: column is named ``out_name + suffix``; the worker aggregate is an Arrow
 #: hash aggregate with its options, the driver combine one over the states
-#: of all workers. Like SQL, ``count`` counts every row and the other
-#: functions skip nulls: ``avg`` is a sum and a count of the non-null
-#: values, which the driver divides.
+#: of all workers. Like SQL, every function skips nulls (``count(*)``
+#: counts a column without any): ``avg`` is a sum and a count of the
+#: non-null values, which the driver divides.
 PARTIAL_STATES = {
     "sum": (("", ("sum",), "sum"),),
-    "count": (("", ("count", _ALL_ROWS), "sum"),),
+    "count": (("", ("count",), "sum"),),
     "avg": (("__sum", ("sum",), "sum"), ("__cnt", ("count",), "sum")),
     "min": (("", ("min",), "min"),),
     "max": (("", ("max",), "max"),),
@@ -81,8 +78,8 @@ def _partial_aggregate(rows: pa.Table, phys: qc.PhysicalQuery) -> pa.Table:
     cols = {k: rows[k] for k in phys.keys}
     specs = []
     for a in phys.aggs:
-        # count(*) reads no column: it counts the entries of an all-null one
-        values = pa.nulls(rows.num_rows) if a.expr is None else _column(a.expr, rows)
+        # count(*) reads no column: it counts the entries of a null-free one
+        values = pa.repeat(True, rows.num_rows) if a.expr is None else _column(a.expr, rows)
         for suffix, worker_agg, _ in PARTIAL_STATES[a.fn]:
             name = a.out_name + suffix
             cols[name] = values

@@ -342,3 +342,17 @@ class TestNulls:
         oracle.assert_equivalent(
             res.spark_df, f"SELECT {select} FROM t WHERE i >= 1 AND x < 9.0{group}", t=self.TABLE
         )
+
+    @pytest.mark.parametrize("keys", [[], ["k"]], ids=["keyless", "grouped"])
+    def test_count_of_a_column_skips_nulls(self, spark, nulls_files, keys):
+        root, files = nulls_files
+        aggs = [
+            AggSpec("cnt", "count"),
+            AggSpec("cnt_n", "count", col("n")),
+            AggSpec("cnt_f", "count", col("f")),
+        ]
+        q = Lambada(root).from_files(files).aggregate(keys=keys, aggs=aggs)
+        res = engine.run_query(spark, root, q)
+        select = ", ".join([*keys, "count(*) AS cnt", "count(n) AS cnt_n", "count(f) AS cnt_f"])
+        group = " GROUP BY k" if keys else ""
+        oracle.assert_equivalent(res.spark_df, f"SELECT {select} FROM t{group}", t=self.TABLE)
