@@ -13,7 +13,9 @@ own post-scan pipeline (``worker.run_pipeline``) emits over zero typed rows
 of the first file, so no driver code decides the type of a partial state.
 The driver-scope final aggregation is the paper's small driver scope: one
 Arrow group-by over the collected partial states, in the driver process
-(``avg`` divides as float, also over integer sums).
+(``avg`` divides as float, also over integer sums). The task function is
+wrapped by :func:`repro.pytask.task`, so a reused Python worker does not
+re-read its import archives before every query.
 
 Real wall-clock at SF<=0.1 validates *correctness*; paper-scale latency and
 cost come from ``repro.sim.worker_model`` fed with the measured metrics.
@@ -29,6 +31,7 @@ import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.pandas.types import from_arrow_schema, to_arrow_schema
 
+from ..pytask import task
 from ..s3.store import NoSuchKey, S3Client, S3Store
 from ..scan.parquet_scan import ParquetScanOperator
 from . import compile as qc
@@ -104,6 +107,7 @@ def run_query(
     spark_schema = from_arrow_schema(empty_out.schema, prefer_timestamp_ntz=True)
     out_schema = to_arrow_schema(spark_schema)  # Spark's timestamps are [us]
 
+    @task
     def _run_workers(batches):
         for batch in batches:
             for wid in batch.column(0).to_pylist():

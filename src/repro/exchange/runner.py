@@ -29,7 +29,9 @@ Phases for a k-level exchange:
 Workers add their request ledgers to one Spark accumulator per phase, so the
 ledgers return with the phase's job; the input-share reads use their own
 client. The driver snapshots them into an :class:`ExchangeReport`, which
-tests assert equals :func:`algorithms.expected_requests` exactly.
+tests assert equals :func:`algorithms.expected_requests` exactly. Every
+phase's task functions are wrapped by :func:`repro.pytask.task`, so a reused
+Python worker does not re-read its import archives before every phase.
 """
 from __future__ import annotations
 
@@ -46,6 +48,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.pandas.types import to_arrow_schema
 from pyspark.sql.types import IntegerType, LongType, StructField, StructType
 
+from ..pytask import task
 from ..s3.store import Ledger, NoSuchKey, S3Client, S3Store
 from . import algorithms as alg
 from . import naming, serde
@@ -233,6 +236,7 @@ def run_exchange(
     def _on_workers(fn, out_schema) -> DataFrame:
         """One job over all worker IDs, ``fn(p)`` yielding each one's batches."""
 
+        @task
         def tasks(batches):
             for batch in batches:
                 for p in batch.column(0).to_pylist():
@@ -249,6 +253,7 @@ def run_exchange(
     # one Arrow IPC part per source, not rows; the source worker joins them.
     src_seed = zlib.crc32(run_id.encode())
 
+    @task
     def _parts(batches):
         rows = pa.Table.from_batches(batches, schema=template.schema)
         src = partition_ids(rows[KEY], n_workers, seed=src_seed)
@@ -256,8 +261,9 @@ def run_exchange(
             if part.num_rows:
                 yield pa.record_batch([[p], [serde.frame_to_bytes(part)]], schema=_PARTS)
 
-    def _distribute(key, parts):
-        p = key[0].as_py()
+    @task
+    def _distribute(parts):
+        p = parts["src"][0].as_py()
         share = pa.concat_tables(serde.bytes_to_frame(b.as_py()) for b in parts["part"])
         client = S3Client(root)
         client.put(in_bucket, naming.input_key(run_id, p), serde.frame_to_bytes(share))

@@ -157,3 +157,42 @@ def test_every_knob_is_set_outside_tests():
         unset += [k for k in settable if k not in passed and k not in KNOB_ALLOWLIST]
     assert unset == []
     assert set(KNOB_ALLOWLIST) <= knobs
+
+
+#: Spark calls whose function runs as a Python task on a worker
+TASK_CALLS = {"mapInArrow", "applyInArrow"}
+
+
+def _is_task(node) -> bool:
+    return getattr(node, "id", None) == "task" or getattr(node, "attr", None) == "task"
+
+
+def unwrapped_tasks() -> list[str]:
+    """``path:line`` of every task call in ``src/`` whose function is not
+    wrapped by ``pytask.task``, by ``task(fn)`` or by ``@task`` on its def."""
+    bad = []
+    for path, tree in _parsed():
+        if not path.is_relative_to(SRC):
+            continue
+        decorated = {
+            n.name
+            for n in ast.walk(tree)
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(_is_task(d) for d in n.decorator_list)
+        }
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) in TASK_CALLS):
+                continue
+            fn = node.args[0] if node.args else None
+            wrapped = (isinstance(fn, ast.Call) and _is_task(fn.func)) or (
+                isinstance(fn, ast.Name) and fn.id in decorated
+            )
+            if not wrapped:
+                bad.append(f"{path.relative_to(SRC).as_posix()}:{node.lineno}")
+    return bad
+
+
+def test_every_spark_task_is_wrapped():
+    """A Spark Python task whose function is not wrapped re-reads every
+    import archive before it runs (see ``repro.pytask``)."""
+    assert unwrapped_tasks() == []
