@@ -60,7 +60,6 @@ def prepare_lineitem(
     row_groups_per_file: int = 2,
     bucket: str = "data",
     prefix: str = "lineitem",
-    compression: str = "gzip",
     seed: int = 0,
 ) -> tuple[DatasetInfo, pd.DataFrame]:
     """Generate, sort, split, and upload LINEITEM; returns (info, sorted pdf)."""
@@ -84,7 +83,7 @@ def prepare_lineitem(
         pq.write_table(
             tbl,
             buf,
-            compression=compression,
+            compression="gzip",  # the paper's gzip-compressed files (§5.1)
             row_group_size=max(1, -(-len(part) // row_groups_per_file)),
             write_statistics=True,
         )

@@ -13,9 +13,10 @@ own post-scan pipeline (``worker.run_pipeline``) emits over zero typed rows
 of the first file, so no driver code decides the type of a partial state.
 The driver-scope final aggregation is the paper's small driver scope: one
 Arrow group-by over the collected partial states, in the driver process
-(``avg`` divides as float, also over integer sums). The task function is
-wrapped by :func:`repro.pytask.task`, so a reused Python worker does not
-re-read its import archives before every query.
+(``avg`` divides as float, also over integer sums). The job is
+:func:`repro.pytask.run_on_workers`, whose task function is wrapped by
+:func:`repro.pytask.task`, so a reused Python worker does not re-read its
+import archives before every query.
 
 Real wall-clock at SF<=0.1 validates *correctness*; paper-scale latency and
 cost come from ``repro.sim.worker_model`` fed with the measured metrics.
@@ -31,7 +32,7 @@ import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.pandas.types import from_arrow_schema, to_arrow_schema
 
-from ..pytask import task
+from ..pytask import run_on_workers
 from ..s3.store import NoSuchKey, S3Client, S3Store
 from ..scan.parquet_scan import ParquetScanOperator
 from . import compile as qc
@@ -77,7 +78,7 @@ def _final_aggregation(partials: pa.Table, phys: qc.PhysicalQuery) -> pa.Table:
 def run_query(
     spark: SparkSession,
     store_root: str,
-    query,
+    query: frontend.Dataset,
     *,
     files_per_worker: int = 1,
     chunk_bytes: int = 1 << 20,
@@ -85,17 +86,11 @@ def run_query(
     memory_limit_mib: int | None = None,
     run_id: str | None = None,
 ) -> QueryResult:
-    """Execute a Lambada plan with one serverless worker per
-    ``files_per_worker`` input files (the paper's F; W = ceil(files / F)).
-
-    ``query`` may be a frontend :class:`Dataset`, a logical plan, or an
-    already-compiled :class:`PhysicalQuery`.
-    """
+    """Execute a frontend query with one serverless worker per
+    ``files_per_worker`` input files (the paper's F; W = ceil(files / F))."""
     if not isinstance(files_per_worker, int) or files_per_worker < 1:
         raise ValueError(f"files_per_worker must be an int >= 1, not {files_per_worker!r}")
-    if isinstance(query, frontend.Dataset):
-        query = query.plan
-    phys = query if isinstance(query, qc.PhysicalQuery) else qc.compile_plan(query)
+    phys = qc.compile_plan(query.plan)
     n_workers = math.ceil(len(phys.files) / files_per_worker)
     run_id = run_id or uuid.uuid4().hex[:12]
 
@@ -107,31 +102,27 @@ def run_query(
     spark_schema = from_arrow_schema(empty_out.schema, prefer_timestamp_ntz=True)
     out_schema = to_arrow_schema(spark_schema)  # Spark's timestamps are [us]
 
-    @task
-    def _run_workers(batches):
-        for batch in batches:
-            for wid in batch.column(0).to_pylist():
-                queue = S3Client(store_root)  # result-queue client (SQS stand-in)
-                try:
-                    partial, m = execute_fragment(
-                        store_root,
-                        wid,
-                        phys.files[wid::n_workers],
-                        phys,
-                        chunk_bytes=chunk_bytes,
-                        footer_hint=footer_hint,
-                        memory_limit_mib=memory_limit_mib,
-                    )
-                    # fails here, in this worker, on a file typed unlike the first
-                    partial = partial.cast(out_schema)
-                except Exception as e:  # report instead of dying silently
-                    msg = WorkerMetrics(worker_id=wid, status="error", error=repr(e))
-                    queue.put(RESULT_BUCKET, f"{run_id}/w{wid}.json", msg.to_json().encode())
-                    continue
-                queue.put(RESULT_BUCKET, f"{run_id}/w{wid}.json", m.to_json().encode())
-                yield from partial.to_batches()
+    def _worker(wid):
+        queue = S3Client(store_root)  # result-queue client (SQS stand-in)
+        try:
+            partial, m = execute_fragment(
+                store_root,
+                wid,
+                phys.files[wid::n_workers],
+                phys,
+                chunk_bytes=chunk_bytes,
+                footer_hint=footer_hint,
+                memory_limit_mib=memory_limit_mib,
+            )
+            # fails here, in this worker, on a file typed unlike the first
+            partial = partial.cast(out_schema)
+        except Exception as e:  # report instead of dying silently
+            m = WorkerMetrics(worker_id=wid, status="error", error=repr(e))
+            partial = out_schema.empty_table()
+        queue.put(RESULT_BUCKET, f"{run_id}/w{wid}.json", m.to_json().encode())
+        yield from partial.to_batches()
 
-    partials = spark.range(n_workers).mapInArrow(_run_workers, spark_schema)
+    partials = run_on_workers(spark, n_workers, _worker, spark_schema)
     collected = partials.toPandas()  # the only Spark action: runs every worker
 
     # driver reads the result queue: exactly one report per worker of this run

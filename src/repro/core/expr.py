@@ -14,10 +14,10 @@ predicate over a null drops the row, as in SQL.
 from __future__ import annotations
 
 import dataclasses
+import datetime
 import functools
 from typing import Any
 
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -96,8 +96,8 @@ class Col(Expr):
 
 @dataclasses.dataclass(frozen=True)
 class Lit(Expr):
-    """Literal scalar. Date strings are normalised to pandas Timestamps so
-    they compare cleanly with Parquet timestamp statistics."""
+    """Literal scalar; :func:`lit` turns an ISO date string into a
+    ``datetime``."""
 
     value: Any
 
@@ -231,9 +231,9 @@ def col(name: str) -> Col:
 
 def lit(value) -> Lit:
     if isinstance(value, str):
-        # date-literal convenience: "1994-01-01" -> Timestamp
+        # date-literal convenience: "1994-01-01" -> datetime(1994, 1, 1)
         try:
-            return Lit(pd.Timestamp(value))
+            return Lit(datetime.datetime.fromisoformat(value))
         except ValueError:
             pass
     return Lit(value)
@@ -242,9 +242,11 @@ def lit(value) -> Lit:
 def interval_overlaps(lo, hi, stat_min, stat_max) -> bool:
     """Whether [stat_min, stat_max] intersects the closed interval [lo, hi]
     (None = unbounded). Used for row-group pruning; returning True keeps the
-    row group, so unknown statistics must map to True upstream."""
-    if lo is not None and stat_max < lo:
+    row group, so unknown statistics must map to True upstream. Compares
+    with the residual filter's kernels, so Arrow scalars of a column's type
+    meet a literal as that column's values do; a null comparison keeps."""
+    if lo is not None and pc.less(stat_max, lo).as_py():
         return False
-    if hi is not None and stat_min > hi:
+    if hi is not None and pc.greater(stat_min, hi).as_py():
         return False
     return True

@@ -31,7 +31,8 @@ ledgers return with the phase's job; the input-share reads use their own
 client. The driver snapshots them into an :class:`ExchangeReport`, which
 tests assert equals :func:`algorithms.expected_requests` exactly. Every
 phase's task functions are wrapped by :func:`repro.pytask.task`, so a reused
-Python worker does not re-read its import archives before every phase.
+Python worker does not re-read its import archives before every phase; the
+level and collect phases are :func:`repro.pytask.run_on_workers` jobs.
 """
 from __future__ import annotations
 
@@ -48,7 +49,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.pandas.types import to_arrow_schema
 from pyspark.sql.types import IntegerType, LongType, StructField, StructType
 
-from ..pytask import task
+from ..pytask import run_on_workers, task
 from ..s3.store import Ledger, NoSuchKey, S3Client, S3Store
 from . import algorithms as alg
 from . import naming, serde
@@ -233,17 +234,6 @@ def run_exchange(
     ).replace_schema_metadata()
     in_bucket = naming.bucket_for_group(0, spec.n_buckets)
 
-    def _on_workers(fn, out_schema) -> DataFrame:
-        """One job over all worker IDs, ``fn(p)`` yielding each one's batches."""
-
-        @task
-        def tasks(batches):
-            for batch in batches:
-                for p in batch.column(0).to_pylist():
-                    yield from fn(p)
-
-        return spark.range(n_workers).mapInArrow(tasks, out_schema)
-
     def _received(client: S3Client, level: int, p: int) -> pa.Table:
         tables = _read_level_files(client, run_id, level, p, dims, spec)
         return pa.concat_tables(tables) if tables else template
@@ -294,7 +284,8 @@ def run_exchange(
 
     for level in range(spec.levels):
         # the action is the barrier
-        moved = sum(r.rows for r in _on_workers(_level_phase(level), _COUNTS_DDL).collect())
+        counts = run_on_workers(spark, n_workers, _level_phase(level), _COUNTS_DDL)
+        moved = sum(r.rows for r in counts.collect())
         if moved != n_in:
             raise RuntimeError(f"level {level} moved {moved} of {n_in} rows")
 
@@ -310,7 +301,7 @@ def run_exchange(
     out_schema = StructType(
         df.schema.fields + [StructField("pid", IntegerType()), StructField("worker", IntegerType())]
     )
-    out = _on_workers(_collect, out_schema).cache()
+    out = run_on_workers(spark, n_workers, _collect, out_schema).cache()
     n_out = out.count()
 
     # ---- accounting: snapshots, so re-evaluating ``out`` leaves them as is

@@ -117,12 +117,12 @@ def simulate_pool_invocations(
 
 
 def simulate_driver_invocations(
-    n: int, region: RegionProfile, *, threads: int = DRIVER_THREADS, cold: bool = False
+    n: int, region: RegionProfile, *, cold: bool = False
 ) -> InvocationTimeline:
     """Driver-only invocation of ``n`` workers (the naive approach)."""
     return simulate_pool_invocations(
         n,
-        threads=threads,
+        threads=DRIVER_THREADS,
         service_s=region.rtt_s,
         cap_per_s=region.cap_per_s,
         startup_s=COLD_START_S if cold else WARM_START_S,

@@ -34,8 +34,8 @@ def run_sql_baseline(
     return df, time.monotonic() - t0
 
 
-def scheduling_comparison(data_bytes: float = 1e12) -> list[dict]:
-    """Executor model vs FaaS scheduling for a cold scan of ``data_bytes``.
+def scheduling_comparison() -> list[dict]:
+    """Executor model vs FaaS scheduling for Fig 1's cold 1 TB scan.
 
     Fleets are bandwidth-matched (a c5n.xlarge carries ~13 worker-equivalents
     of S3 scan bandwidth), so the comparison isolates the *scheduling* cost:
@@ -49,8 +49,8 @@ def scheduling_comparison(data_bytes: float = 1e12) -> list[dict]:
     workers_per_inst = max(1, round(per_inst / per_worker))
     rows = []
     for n_inst in (4, 16, 64, 256):
-        iaas = figure1.iaas_job_scoped(data_bytes, n_inst)
-        faas = figure1.faas_job_scoped(data_bytes, n_inst * workers_per_inst)
+        iaas = figure1.iaas_job_scoped(figure1.DATA_BYTES, n_inst)
+        faas = figure1.faas_job_scoped(figure1.DATA_BYTES, n_inst * workers_per_inst)
         rows.append(
             {
                 "instances": n_inst,

@@ -18,9 +18,8 @@ PUT_PER_MILLION = 5.0
 #: $ per one million LIST requests ("AWS charges list requests for the price
 #: of write requests", §4.4.3).
 LIST_PER_MILLION = 5.0
-#: HEAD requests are priced like GETs on AWS.
+#: HEAD requests are priced like GETs on AWS. DELETE requests are free.
 HEAD_PER_MILLION = 0.4
-DELETE_PER_MILLION = 0.0  # DELETE requests are free on S3
 
 #: $ per GB-second of AWS Lambda compute. Paper §4.4.4: "each second costs
 #: $3.3e-5 (the current price on AWS for workers with 2 GiB RAM)".
@@ -47,14 +46,10 @@ EC2_INSTANCES = {
 
 
 def request_cost(ledger: Ledger) -> float:
-    """Dollar cost of all requests recorded in a ledger."""
-    return (
-        ledger.gets * GET_PER_MILLION
-        + ledger.puts * PUT_PER_MILLION
-        + ledger.lists * LIST_PER_MILLION
-        + ledger.heads * HEAD_PER_MILLION
-        + ledger.deletes * DELETE_PER_MILLION
-    ) / 1e6
+    """Dollar cost of all requests recorded in a ledger (DELETEs are free)."""
+    return request_cost_counts(
+        gets=ledger.gets, puts=ledger.puts, lists=ledger.lists, heads=ledger.heads
+    )
 
 
 def request_cost_counts(*, gets: int = 0, puts: int = 0, lists: int = 0, heads: int = 0) -> float:

@@ -13,13 +13,19 @@ import math
 
 from ..s3 import pricing
 from ..sim import netmodel
-from ..sim import constants as C
+
+#: Fig 7's download: a 1 GB file on a 3008 MiB worker
+FILE_BYTES = 10**9
+MEMORY_MIB = 3008
+#: Fig 7's sweep: chunk sizes of 64 KiB to 16 MiB over 1-8 connections
+CHUNK_SIZES = (2**16, 2**18, 2**20, 2**22, 2**24)
+CONNECTIONS = (1, 2, 4, 8)
 
 
 @dataclasses.dataclass(frozen=True)
 class ChunkingPoint:
-    """One point of Fig 7: downloading ``file_bytes`` with a given chunk size
-    and connection count on a worker of ``memory_mib``."""
+    """One point of Fig 7: downloading :data:`FILE_BYTES` with a given chunk
+    size and connection count on a worker of :data:`MEMORY_MIB`."""
 
     chunk_bytes: int
     n_connections: int
@@ -33,42 +39,32 @@ class ChunkingPoint:
         return self.request_cost_usd / self.worker_cost_usd
 
 
-def scan_point(
-    chunk_bytes: int,
-    n_connections: int,
-    *,
-    file_bytes: int = 10**9,
-    memory_mib: int = 3008,
-) -> ChunkingPoint:
+def scan_point(chunk_bytes: int, n_connections: int) -> ChunkingPoint:
     """Model one (chunk size, connections) configuration of the Fig 7 sweep."""
     if chunk_bytes < 1 or n_connections < 1:
         raise ValueError("chunk size and connection count must be positive")
     seconds = netmodel.download_seconds(
-        file_bytes,
-        memory_mib=memory_mib,
+        FILE_BYTES,
+        memory_mib=MEMORY_MIB,
         n_connections=n_connections,
         chunk_bytes=chunk_bytes,
     )
-    n_requests = math.ceil(file_bytes / chunk_bytes)
+    n_requests = math.ceil(FILE_BYTES / chunk_bytes)
     # Fig 7's annotation compares request cost against a FIXED worker cost:
     # the worker running the scan at the achievable maximum bandwidth.
     ideal_seconds = netmodel.download_seconds(
-        file_bytes, memory_mib=memory_mib, n_connections=8, chunk_bytes=2**24
+        FILE_BYTES, memory_mib=MEMORY_MIB, n_connections=8, chunk_bytes=2**24
     )
     return ChunkingPoint(
         chunk_bytes=chunk_bytes,
         n_connections=n_connections,
-        bandwidth_bytes_s=file_bytes / seconds,
+        bandwidth_bytes_s=FILE_BYTES / seconds,
         n_requests=n_requests,
         request_cost_usd=pricing.request_cost_counts(gets=n_requests),
-        worker_cost_usd=pricing.lambda_cost(ideal_seconds, memory_mib),
+        worker_cost_usd=pricing.lambda_cost(ideal_seconds, MEMORY_MIB),
     )
 
 
-def sweep(
-    chunk_sizes=(2**16, 2**18, 2**20, 2**22, 2**24),
-    connections=(1, 2, 4, 8),
-    **kw,
-) -> list[ChunkingPoint]:
+def sweep() -> list[ChunkingPoint]:
     """The Fig 7 parameter sweep."""
-    return [scan_point(c, n, **kw) for c in chunk_sizes for n in connections]
+    return [scan_point(c, n) for c in CHUNK_SIZES for n in CONNECTIONS]

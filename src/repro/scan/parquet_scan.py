@@ -22,7 +22,6 @@ from __future__ import annotations
 import io
 from typing import Iterator, Sequence
 
-import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
@@ -30,14 +29,6 @@ from ..core import expr as ex
 from ..core.metrics import WorkerMetrics
 from ..s3.store import S3Client
 from .s3file import DEFAULT_CHUNK_BYTES, DEFAULT_FOOTER_HINT, S3RandomAccessFile
-
-
-def _stats_interval(rg_meta, col_idx):
-    """(min, max) statistics of a column chunk, or None when absent."""
-    st = rg_meta.column(col_idx).statistics
-    if st is None or not st.has_min_max:
-        return None
-    return st.min, st.max
 
 
 def _footer_metadata(f: S3RandomAccessFile) -> "pq.FileMetaData":
@@ -54,13 +45,6 @@ def _footer_metadata(f: S3RandomAccessFile) -> "pq.FileMetaData":
     mlen = int.from_bytes(tail[:4], "little")
     blob = f.read_at(size - 8 - mlen, mlen + 8)
     return pq.read_metadata(io.BytesIO(blob))
-
-
-def _normalise(value):
-    """Make Parquet stats comparable with predicate literals (timestamps)."""
-    if hasattr(value, "timestamp") and not isinstance(value, pd.Timestamp):
-        return pd.Timestamp(value)
-    return value
 
 
 class ParquetScanOperator:
@@ -92,19 +76,21 @@ class ParquetScanOperator:
             self._intervals.append(iv)
 
     # -- pruning ------------------------------------------------------------
-    def _keep_row_group(self, pf_meta, rg: int) -> bool:
-        """A row group survives unless some conjunct proves it empty."""
-        names = {pf_meta.schema.column(i).name: i for i in range(pf_meta.num_columns)}
-        rg_meta = pf_meta.row_group(rg)
+    def _keep_row_group(self, rg_meta, names: dict, schema: pa.Schema) -> bool:
+        """A row group survives unless some conjunct proves it empty.
+        ``names`` maps the file's column names to their indices. The
+        statistics become Arrow values of the column's type in ``schema``,
+        so they meet the literal as the column's rows do in the residual
+        filter."""
         for column, lo, hi in self._intervals:
             idx = names.get(column)
             if idx is None:
                 continue
-            stats = _stats_interval(rg_meta, idx)
-            if stats is None:
+            st = rg_meta.column(idx).statistics
+            if st is None or not st.has_min_max:
                 continue  # no statistics -> cannot prune (conservative)
-            smin, smax = (_normalise(stats[0]), _normalise(stats[1]))
-            if not ex.interval_overlaps(lo, hi, smin, smax):
+            typ = schema.field(column).type
+            if not ex.interval_overlaps(lo, hi, pa.scalar(st.min, typ), pa.scalar(st.max, typ)):
                 return False
         return True
 
@@ -132,12 +118,14 @@ class ParquetScanOperator:
             # pre_buffer stays off — its range coalescing merges the gaps
             # between column chunks and would re-download pruned-out columns.
             pf = pq.ParquetFile(f, metadata=meta, pre_buffer=False)
+            names = {meta.schema.column(i).name: i for i in range(meta.num_columns)}
+            schema = meta.schema.to_arrow_schema()
             self.metrics.row_groups_total += meta.num_row_groups
             for rg in range(meta.num_row_groups):
-                if not self._keep_row_group(meta, rg):
+                rg_meta = meta.row_group(rg)
+                if not self._keep_row_group(rg_meta, names, schema):
                     continue
                 self.metrics.row_groups_scanned += 1
-                rg_meta = meta.row_group(rg)
                 if self.columns is None:
                     self.metrics.compressed_bytes += sum(
                         rg_meta.column(i).total_compressed_size
@@ -145,9 +133,6 @@ class ParquetScanOperator:
                     )
                     self.metrics.uncompressed_bytes += rg_meta.total_byte_size
                 else:
-                    names = {
-                        meta.schema.column(i).name: i for i in range(meta.num_columns)
-                    }
                     for c in self.columns:
                         if c in names:
                             cm = rg_meta.column(names[c])

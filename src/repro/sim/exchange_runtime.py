@@ -47,11 +47,11 @@ def straggler_tail(n_workers: int) -> float:
     return C.STRAGGLER_TAIL_SMALL + (C.STRAGGLER_TAIL_LARGE - C.STRAGGLER_TAIL_SMALL) * frac
 
 
-def _slowdowns(n_workers: int, phase: int, seed: int) -> np.ndarray:
+def _slowdowns(n_workers: int, phase: int) -> np.ndarray:
     """Deterministic per-worker write slowdowns S(q) with shuffled ranks."""
     q = (np.arange(n_workers) + 0.5) / n_workers
     s = 1.0 + straggler_tail(n_workers) * q**C.STRAGGLER_EXPONENT
-    rng = np.random.default_rng(seed * 1000 + phase)
+    rng = np.random.default_rng(phase)  # one fixed shuffle per phase
     return rng.permutation(s)
 
 
@@ -87,22 +87,21 @@ def simulate_exchange_runtime(
     *,
     levels: int = 2,
     write_combining: bool = True,
-    memory_mib: int = C.EXCHANGE_MEMORY_MIB,
     n_buckets: int = C.DEFAULT_EXCHANGE_BUCKETS,
     worker_bw_bytes_s: float | None = None,
-    limits: ratelimit.RateLimits = ratelimit.CURRENT_LIMITS,
     retry_amplification: float = 1.0,
-    region: str = "us",
-    seed: int = 0,
 ) -> ExchangeRuntime:
-    """Simulate a ``levels``-level write-combining exchange of ``data_bytes``."""
+    """Simulate a ``levels``-level write-combining exchange of ``data_bytes``
+    on ``C.EXCHANGE_MEMORY_MIB`` workers invoked in us-east-1, under today's
+    S3 rate limits."""
     P = n_workers
     dims = alg.grid_dims(P, levels)
     per_worker = data_bytes / P
-    bw = worker_bw_bytes_s or netmodel.steady_bandwidth(memory_mib)
+    bw = worker_bw_bytes_s or netmodel.steady_bandwidth(C.EXCHANGE_MEMORY_MIB)
     base = per_worker / bw
+    limits = ratelimit.CURRENT_LIMITS
 
-    tree = invocation.simulate_two_level(P, invocation.REGIONS[region], cold=True)
+    tree = invocation.simulate_two_level(P, invocation.REGIONS["us"], cold=True)
     start = np.asarray(tree.running[:P])
     if len(start) < P:
         start = np.pad(start, (0, P - len(start)), constant_values=start.max())
@@ -118,7 +117,7 @@ def simulate_exchange_runtime(
     for lvl in range(levels):
         d = dims[lvl]
         # --- write phase (with stragglers and PUT rate limits)
-        s = _slowdowns(P, lvl, seed)
+        s = _slowdowns(P, lvl)
         write = base * s
         # P PUTs (write combining) or P*d PUTs spread over n_buckets
         n_puts = P if write_combining else P * d
@@ -172,9 +171,9 @@ def simulate_exchange_runtime(
     )
 
 
-def lambada_table3_row(data_bytes: float, n_workers: int, seed: int = 0) -> float:
+def lambada_table3_row(data_bytes: float, n_workers: int) -> float:
     """End-to-end seconds of Lambada's 2-level wc exchange (Table 3 / §5.5)."""
-    return simulate_exchange_runtime(data_bytes, n_workers, seed=seed).e2e_s
+    return simulate_exchange_runtime(data_bytes, n_workers).e2e_s
 
 
 #: 2018-era Lambda network bandwidth assumed for the Pocket S3 baseline
@@ -183,12 +182,13 @@ def lambada_table3_row(data_bytes: float, n_workers: int, seed: int = 0) -> floa
 POCKET_ERA_BW_BYTES_S = 45 * 2**20
 
 
-def pocket_s3_baseline_runtime(data_bytes: float = 100e9, n_workers: int = 250) -> float:
-    """The S3-based 1-level exchange baseline of the Pocket paper: single
-    prefix (one bucket), quadratic requests, throttling with retry backoff."""
+def pocket_s3_baseline_runtime() -> float:
+    """The S3-based 1-level exchange baseline of the Pocket paper, 100 GB
+    over 250 workers: single prefix (one bucket), quadratic requests,
+    throttling with retry backoff."""
     return simulate_exchange_runtime(
-        data_bytes,
-        n_workers,
+        100e9,
+        250,
         levels=1,
         write_combining=False,
         n_buckets=1,

@@ -28,6 +28,8 @@ QUERIES = {
     "q1": (queries.q1, queries.Q1_SQL, queries.Q1_COLUMNS),
     "q6": (queries.q6, queries.Q6_SQL, queries.Q6_COLUMNS),
 }
+#: the paper's worker size for Figs 10-12 (§5.2: M = 1792)
+MEMORY_MIB = 1792
 
 
 @dataclasses.dataclass
@@ -68,12 +70,10 @@ def measure_query(
     name: str,
     *,
     files_per_worker: int = 1,
-    chunk_bytes: int = 1 << 12,
-    footer_hint: int = 1 << 14,
 ) -> MeasuredQuery:
     """Run one evaluation query for real on the engine.
 
-    The default chunk size (4 KiB) and footer prefetch (16 KiB) are the
+    The chunk size (4 KiB) and footer prefetch (16 KiB) are the
     paper's 1 MiB-chunk / 64 KiB-footer configuration scaled down to our
     ~tens-of-KB measurement files, so projection push-down and request
     accounting behave like they do on ~500 MB files.
@@ -85,8 +85,8 @@ def measure_query(
         store_root,
         build(src),
         files_per_worker=files_per_worker,
-        chunk_bytes=chunk_bytes,
-        footer_hint=footer_hint,
+        chunk_bytes=1 << 12,
+        footer_hint=1 << 14,
     )
     return MeasuredQuery(name, res, info, columns)
 
@@ -95,7 +95,7 @@ def lambada_estimate(
     mq: MeasuredQuery,
     scale: scaling.PaperScale,
     *,
-    memory_mib: int = 1792,
+    memory_mib: int = MEMORY_MIB,
     files_per_worker: int = 1,
     cold: bool = False,
 ) -> worker_model.QueryEstimate:
@@ -120,11 +120,11 @@ def qaas_estimates(mq: MeasuredQuery, scale: scaling.PaperScale) -> dict:
     }
 
 
-def figure12_rows(mq: MeasuredQuery, *, memory_mib: int = 1792) -> list[dict]:
+def figure12_rows(mq: MeasuredQuery) -> list[dict]:
     """Fig 12: Lambada vs Athena vs BigQuery at SF 1k and 10k."""
     rows = []
     for scale, sf_label in ((scaling.SF1K, "1k"), (scaling.SF10K, "10k")):
-        lam = lambada_estimate(mq, scale, memory_mib=memory_mib)
+        lam = lambada_estimate(mq, scale)
         q = qaas_estimates(mq, scale)
         rows.append(
             {
@@ -153,12 +153,12 @@ MEMORY_SWEEP = (512, 1024, 1792, 2048, 3008)
 FILES_SWEEP = (4, 2, 1)
 
 
-def figure10_memory_sweep(mq: MeasuredQuery, scale=scaling.SF1K) -> list[dict]:
-    """§5.2: Q1 with F=1 and varying worker memory, hot and cold."""
+def figure10_memory_sweep(mq: MeasuredQuery) -> list[dict]:
+    """§5.2: Q1 at SF 1k with F=1 and varying worker memory, hot and cold."""
     rows = []
     for m in MEMORY_SWEEP:
         for cold in (False, True):
-            est = lambada_estimate(mq, scale, memory_mib=m, cold=cold)
+            est = lambada_estimate(mq, scaling.SF1K, memory_mib=m, cold=cold)
             rows.append(
                 {
                     "memory_mib": m,
@@ -171,22 +171,17 @@ def figure10_memory_sweep(mq: MeasuredQuery, scale=scaling.SF1K) -> list[dict]:
 
 
 def figure10_files_sweep(
-    spark: SparkSession,
-    store_root: str,
-    info: dataset.DatasetInfo,
-    *,
-    memory_mib: int = 1792,
-    scale=scaling.SF1K,
+    spark: SparkSession, store_root: str, info: dataset.DatasetInfo
 ) -> list[dict]:
-    """§5.2: Q1 with M=1792 and F in {4, 2, 1} (W = files/F)."""
+    """§5.2: Q1 at SF 1k with M=1792 and F in {4, 2, 1} (W = files/F)."""
     rows = []
     for f in FILES_SWEEP:
         mq = measure_query(spark, store_root, info, "q1", files_per_worker=f)
-        est = lambada_estimate(mq, scale, memory_mib=memory_mib, files_per_worker=f)
+        est = lambada_estimate(mq, scaling.SF1K, files_per_worker=f)
         rows.append(
             {
                 "files_per_worker": f,
-                "workers": scale.n_files // f,
+                "workers": scaling.SF1K.n_files // f,
                 "latency_s": est.latency_s,
                 "cost_usd": est.cost_usd,
             }
@@ -194,12 +189,12 @@ def figure10_files_sweep(
     return rows
 
 
-def figure11_distribution(mq: MeasuredQuery, *, memory_mib: int = 1792) -> dict:
+def figure11_distribution(mq: MeasuredQuery) -> dict:
     """§5.3: per-worker processing-time distribution and pruning fractions."""
     times = sorted(
         worker_model.worker_seconds(
             scaling.scale_worker(w, scaling.SF1K.rows_per_worker() / (mq.info.n_rows / mq.result.n_workers)),
-            memory_mib,
+            MEMORY_MIB,
         )
         for w in mq.result.metrics.workers
     )

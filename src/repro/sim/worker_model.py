@@ -65,10 +65,10 @@ def estimate_query(
     memory_mib: int,
     *,
     cold: bool = False,
-    region: str = "us",
 ) -> QueryEstimate:
-    """Latency and cost of a query from its per-worker metrics."""
-    reg = invocation.REGIONS[region]
+    """Latency and cost of a query from its per-worker metrics, its workers
+    invoked from us-east-1."""
+    reg = invocation.REGIONS["us"]
     times = [worker_seconds(w, memory_mib, cold=cold) for w in metrics.workers]
     tree = invocation.simulate_two_level(max(1, metrics.n_workers), reg, cold=cold)
     slowest = max(times) * C.QUERY_STRAGGLER_FACTOR

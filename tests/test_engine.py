@@ -1,6 +1,7 @@
 """Lambada engine end-to-end: oracle-checked results, worker accounting,
 error reporting, the one-job query shape. Q1/Q6 run once (session
 fixtures); extra runs here vary the worker count and failure modes."""
+import datetime
 import io
 import shutil
 import uuid
@@ -223,6 +224,45 @@ class TestEngineMechanics:
         q = Lambada(root).from_files(files).reduce("max", col("v"))
         with pytest.raises(engine.WorkerError, match="^worker 1: "):
             engine.run_query(spark, root, q)
+
+
+class TestDatePruning:
+    """A date-string literal prunes the row groups of date and timestamp
+    columns by their min/max statistics and keeps every qualifying row."""
+
+    DAYS = ["1994-01-01", "1994-03-01", "1994-05-01", "1994-06-01", "1994-09-01",
+            "1994-12-01", "1995-01-01", "1995-03-01", "1995-06-01", "1995-09-01"]
+    LO, HI = "1994-06-01", "1995-01-01"
+    SQL = (
+        "SELECT count(*) AS n, sum(v) AS s FROM t "
+        f"WHERE d >= TIMESTAMP '{LO} 00:00:00' AND d < TIMESTAMP '{HI} 00:00:00'"
+    )
+
+    @pytest.mark.parametrize(
+        "typ", [pa.date32(), pa.timestamp("us"), pa.timestamp("ns")], ids=str
+    )
+    def test_matches_duckdb_and_scans_the_groups_that_meet(self, spark, tmp_path, typ):
+        days = [datetime.datetime.fromisoformat(d) for d in self.DAYS]
+        t = pa.table({"d": pa.array(days).cast(typ), "v": pa.array(range(len(days)))})
+        root = str(tmp_path)
+        store = S3Store(root)
+        store.create_bucket("dates")
+        buf = io.BytesIO()
+        pq.write_table(t, buf, row_group_size=2)
+        store.client().put("dates", "t.parquet", buf.getvalue())
+        q = (
+            Lambada(root)
+            .from_files([("dates", "t.parquet")])
+            .filter((col("d") >= lit(self.LO)) & (col("d") < lit(self.HI)))
+            .aggregate(keys=[], aggs=[AggSpec("n", "count"), AggSpec("s", "sum", col("v"))])
+        )
+        res = engine.run_query(spark, root, q)
+        oracle.assert_equivalent(res.spark_df, self.SQL, t=t)
+        lo, hi = (datetime.datetime.fromisoformat(x) for x in (self.LO, self.HI))
+        groups = [days[i : i + 2] for i in range(0, len(days), 2)]
+        meets = sum(1 for g in groups if max(g) >= lo and min(g) <= hi)
+        assert 0 < meets < len(groups)
+        assert sum(w.row_groups_scanned for w in res.metrics.workers) == meets
 
 
 class TestTypedAggregates:

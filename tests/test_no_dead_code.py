@@ -6,10 +6,11 @@ or ``perfbench/`` somewhere outside its own definition. A reference is any
 use of the name as an identifier, attribute or import. Reference models that
 only tests need belong in ``tests/``.
 
-Likewise every settable value of the workloads' entry points (a defaulted
-parameter of ``run_query`` or ``run_exchange``, a field of ``ExchangeSpec``)
-must be passed by some call in those directories: a branch that only a
-test's argument selects is code that only tests run.
+Likewise every settable value of ``src/repro`` (a defaulted parameter of a
+top-level function or of a method, a field of a frozen dataclass) must be
+passed by some call in those directories: a branch that only a test's
+argument selects is code that only tests run, and a value that nothing sets
+is a constant.
 """
 import ast
 from pathlib import Path
@@ -104,31 +105,63 @@ def test_allowlist_names_existing_definitions():
     assert set(ALLOWLIST) <= defined
 
 
-#: (module path relative to src/repro, callable): the workloads' entry points.
-KNOB_OWNERS = (
-    ("core/engine.py", "run_query"),
-    ("exchange/runner.py", "run_exchange"),
-    ("exchange/algorithms.py", "ExchangeSpec"),
-)
-#: knob -> why no call in the program's own code passes it.
+#: (module path relative to src/repro, callable, parameter) -> why no call in
+#: the program's own code passes it.
 KNOB_ALLOWLIST = {
-    "memory_limit_mib": "the §3.3 memory guard, a safety path the OOM test drives",
-    "n_buckets": "the installation-time bucket count of §4.4.1",
+    ("core/engine.py", "run_query", "memory_limit_mib"): (
+        "the §3.3 memory guard, a safety path the OOM test drives"
+    ),
+    ("exchange/algorithms.py", "ExchangeSpec", "n_buckets"): (
+        "the installation-time bucket count of §4.4.1"
+    ),
+    ("scan/s3file.py", "S3RandomAccessFile.seek", "whence"): (
+        "file protocol pyarrow calls positionally"
+    ),
+    ("core/dataset.py", "prepare_lineitem", "bucket"): "a storage location is a deployment path",
+    ("core/dataset.py", "prepare_lineitem", "prefix"): "a storage location is a deployment path",
 }
 
 
-def _knobs(tree: ast.Module, name: str) -> tuple[list, list]:
-    """(every parameter in call order, the settable ones) of the function
-    ``name`` (its defaulted parameters) or dataclass ``name`` (its fields)."""
-    (node,) = [n for n in tree.body if getattr(n, "name", None) == name]
-    if isinstance(node, ast.ClassDef):
-        fields = [n.target.id for n in node.body if isinstance(n, ast.AnnAssign)]
-        return fields, fields
+def _is_frozen_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Call)
+        and "dataclass" in ast.unparse(d.func)
+        and any(k.arg == "frozen" and getattr(k.value, "value", False) for k in d.keywords)
+        for d in node.decorator_list
+    )
+
+
+def _signature(node: ast.FunctionDef, method: bool) -> tuple[list, list]:
+    """(every parameter in call order, the settable ones: those with a
+    default) of a function; a method's ``self`` or ``cls`` is left out."""
     a = node.args
     positional = [x.arg for x in a.posonlyargs + a.args]
     settable = positional[len(positional) - len(a.defaults):]
     settable += [x.arg for x, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+    if method and not static:
+        positional = positional[1:]
     return positional, settable
+
+
+def _knob_owners(tree: ast.Module):
+    """(qualified name, the name its calls use, every parameter in call
+    order, the settable ones) of every top-level function, every method of a
+    top-level class (``__init__`` is called by its class's name) and every
+    frozen dataclass (its fields, which are configuration)."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield (node.name, node.name, *_signature(node, method=False))
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if _is_frozen_dataclass(node):
+            fields = [n for n in node.body if isinstance(n, ast.AnnAssign)]
+            settable = [f.target.id for f in fields if f.value is not None]
+            yield node.name, node.name, [f.target.id for f in fields], settable
+        for sub in node.body:
+            if isinstance(sub, ast.FunctionDef):
+                called = node.name if sub.name == "__init__" else sub.name
+                yield (f"{node.name}.{sub.name}", called, *_signature(sub, method=True))
 
 
 def _passed(trees, name: str, params: list) -> set:
@@ -146,15 +179,28 @@ def _passed(trees, name: str, params: list) -> set:
     return passed
 
 
-def test_every_knob_is_set_outside_tests():
+def unset_knobs() -> tuple[list[str], set]:
+    """(``path:callable(parameter)`` of every settable value of ``src/repro``
+    that no call in the program's own code passes, every settable value)."""
     trees = list(_parsed())
-    by_path = dict(trees)
     unset, knobs = [], set()
-    for rel, name in KNOB_OWNERS:
-        params, settable = _knobs(by_path[SRC / rel], name)
-        knobs |= set(settable)
-        passed = _passed(trees, name, params)
-        unset += [k for k in settable if k not in passed and k not in KNOB_ALLOWLIST]
+    for path, tree in trees:
+        if not path.is_relative_to(SRC) or path.name in PROVIDED:
+            continue
+        rel = path.relative_to(SRC).as_posix()
+        for qual, called, params, settable in _knob_owners(tree):
+            knobs |= {(rel, qual, k) for k in settable}
+            passed = _passed(trees, called, params)
+            unset += [
+                f"{rel}:{qual}({k})"
+                for k in settable
+                if k not in passed and (rel, qual, k) not in KNOB_ALLOWLIST
+            ]
+    return unset, knobs
+
+
+def test_every_knob_is_set_outside_tests():
+    unset, knobs = unset_knobs()
     assert unset == []
     assert set(KNOB_ALLOWLIST) <= knobs
 
@@ -196,3 +242,35 @@ def test_every_spark_task_is_wrapped():
     """A Spark Python task whose function is not wrapped re-reads every
     import archive before it runs (see ``repro.pytask``)."""
     assert unwrapped_tasks() == []
+
+
+#: the modules of the Arrow pipeline that hand pandas frames to their callers
+PANDAS_OWNERS = {"core/engine.py", "core/dataset.py"}
+
+
+def pandas_imports() -> list[str]:
+    """``path:line`` of every pandas import in ``src/repro/scan/`` and
+    ``src/repro/core/`` outside :data:`PANDAS_OWNERS`."""
+    bad = []
+    for path, tree in _parsed():
+        if not path.is_relative_to(SRC):
+            continue
+        rel = path.relative_to(SRC).as_posix()
+        if rel.split("/")[0] not in ("scan", "core") or rel in PANDAS_OWNERS:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "pandas" for m in modules):
+                bad.append(f"{rel}:{node.lineno}")
+    return bad
+
+
+def test_arrow_pipeline_imports_no_pandas():
+    """One columnar representation from scan to partial state: the scan and
+    the worker's pipeline work in Arrow alone."""
+    assert pandas_imports() == []
