@@ -10,7 +10,7 @@ from repro.sim import scaling
 
 
 @pytest.mark.parametrize("qname", ["q1", "q6"])
-def test_bench_lambada_query(benchmark, spark, bench_store_root, bench_ds, qname):
+def test_bench_lambada_query(benchmark, spark, bench_store_root, bench_ds, qname, result_df):
     info, pdf = bench_ds
 
     def run():
@@ -18,7 +18,7 @@ def test_bench_lambada_query(benchmark, spark, bench_store_root, bench_ds, qname
 
     mq = benchmark.pedantic(run, rounds=1, iterations=1)
     _, sql, _ = X.QUERIES[qname]
-    oracle.assert_equivalent(mq.result.spark_df, sql, lineitem=pdf)
+    oracle.assert_equivalent(result_df(mq.result), sql, lineitem=pdf)
     # the paper-scale estimate stays interactive (<10 s, Fig 10/12)
     est = X.lambada_estimate(mq, scaling.SF1K)
     assert est.latency_s < 10

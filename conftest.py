@@ -47,6 +47,7 @@ os.environ.setdefault(
     "pyspark-shell",
 )
 
+import pyarrow as pa  # noqa: E402
 import pytest  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
 
@@ -83,3 +84,13 @@ def spark() -> SparkSession:
     )
     yield s
     s.stop()
+
+
+@pytest.fixture(scope="session")
+def result_df(spark):
+    """``res.result`` of a ``run_query`` as a Spark DataFrame, the form
+    ``oracle.assert_equivalent`` compares. It goes through Arrow, so a
+    result without rows still has typed columns."""
+    return lambda res: spark.createDataFrame(
+        pa.Table.from_pandas(res.result, preserve_index=False)
+    )

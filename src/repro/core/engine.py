@@ -29,7 +29,7 @@ import uuid
 
 import pandas as pd
 import pyarrow as pa
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 from pyspark.sql.pandas.types import from_arrow_schema, to_arrow_schema
 
 from ..pytask import run_on_workers
@@ -51,7 +51,6 @@ class WorkerError(RuntimeError):
 class QueryResult:
     """Result of one Lambada query execution."""
 
-    spark_df: DataFrame  # ``result`` as a Spark DataFrame (no worker reruns)
     result: pd.DataFrame  # the final (driver-scope) result, collected
     metrics: QueryMetrics
     n_workers: int
@@ -97,7 +96,13 @@ def run_query(
     S3Store(store_root).create_bucket(RESULT_BUCKET)
     # the worker's own pipeline over zero typed rows of the first file
     client = S3Client(store_root)
-    first = ParquetScanOperator(client, phys.files[:1], columns=phys.scan_columns or None)
+    first = ParquetScanOperator(
+        client,
+        phys.files[:1],
+        columns=phys.scan_columns,
+        chunk_bytes=chunk_bytes,
+        footer_hint=footer_hint,
+    )
     empty_out, _ = run_pipeline(first.empty_table(), phys)
     spark_schema = from_arrow_schema(empty_out.schema, prefer_timestamp_ntz=True)
     out_schema = to_arrow_schema(spark_schema)  # Spark's timestamps are [us]
@@ -142,16 +147,8 @@ def run_query(
             "; ".join(f"worker {w.worker_id}: {w.error}" for w in errors)
         )
 
+    result = collected
     if phys.aggs:
         states = pa.Table.from_pandas(collected, schema=out_schema, preserve_index=False)
-        final = _final_aggregation(states, phys)
-        result = final.to_pandas()
-        final_schema = from_arrow_schema(final.schema, prefer_timestamp_ntz=True)
-    else:
-        result, final_schema = collected, spark_schema
-    return QueryResult(
-        spark_df=spark.createDataFrame(result, schema=final_schema),
-        result=result,
-        metrics=QueryMetrics(workers),
-        n_workers=n_workers,
-    )
+        result = _final_aggregation(states, phys).to_pandas()
+    return QueryResult(result=result, metrics=QueryMetrics(workers), n_workers=n_workers)

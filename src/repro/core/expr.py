@@ -9,7 +9,8 @@ row groups using Parquet min/max statistics (paper §4.3.2 / §5.3).
 Expressions evaluate vectorised over Arrow tables with ``pyarrow.compute``
 (the reproduction's stand-in for the paper's LLVM-JIT-compiled pipelines —
 both avoid per-record interpretation). A null operand yields null, so a
-predicate over a null drops the row, as in SQL.
+predicate over a null drops the row, as in SQL; ``AND`` is SQL's
+three-valued one (``NULL AND FALSE`` is false).
 """
 from __future__ import annotations
 
@@ -191,7 +192,7 @@ class Between(Pred):
     def eval(self, table):
         v = self.expr.eval(table)
         lo, hi = self.lo.eval(table), self.hi.eval(table)
-        return pc.and_(pc.greater_equal(v, lo), pc.less_equal(v, hi))
+        return pc.and_kleene(pc.greater_equal(v, lo), pc.less_equal(v, hi))
 
     def columns(self):
         return self.expr.columns() | self.lo.columns() | self.hi.columns()
@@ -210,7 +211,7 @@ class And(Pred):
         object.__setattr__(self, "parts", tuple(parts))
 
     def eval(self, table):
-        return functools.reduce(pc.and_, (p.eval(table) for p in self.parts))
+        return functools.reduce(pc.and_kleene, (p.eval(table) for p in self.parts))
 
     def columns(self):
         cols = frozenset()

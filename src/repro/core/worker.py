@@ -121,7 +121,7 @@ def execute_fragment(
     scan = ParquetScanOperator(
         client,
         files,
-        columns=phys.scan_columns or None,
+        columns=phys.scan_columns,
         predicate=phys.scan_predicate,
         chunk_bytes=chunk_bytes,
         footer_hint=footer_hint,
@@ -138,7 +138,11 @@ def execute_fragment(
                 f"limit {memory_limit_mib} MiB"
             )
         parts.append(tbl)
-    out, m.rows_out = run_pipeline(pa.concat_tables(parts or [scan.empty_table()]), phys)
+    # from_batches, not concat_tables: it keeps the row count of tables
+    # without columns (a count(*) reads none)
+    batches = [b for t in parts for b in t.to_batches()]
+    scanned = pa.Table.from_batches(batches) if batches else scan.empty_table()
+    out, m.rows_out = run_pipeline(scanned, phys)
     m.wall_time_s = time.monotonic() - t0
     m.ledger = vars(client.ledger).copy()
     return out, m

@@ -9,8 +9,9 @@ relies on:
 * **selection push-down** — row groups whose min/max statistics cannot
   satisfy the prunable predicate conjuncts are skipped entirely (no data
   GETs; paper §5.3 / Fig 11);
-* **projection push-down** — only the column chunks of projected attributes
-  are downloaded (ranged GETs, chunk-aligned per Fig 7).
+* **projection push-down** — only the column chunks of ``columns`` are
+  downloaded (ranged GETs, chunk-aligned per Fig 7); none when the query
+  reads no column.
 
 The operator exposes the open/next/close interface as an iterator of Arrow
 tables (one per surviving row group). It counts row groups, rows and bytes
@@ -55,14 +56,14 @@ class ParquetScanOperator:
         client: S3Client,
         files: Sequence[tuple[str, str]],
         *,
-        columns: Sequence[str] | None = None,
+        columns: Sequence[str],
         predicate: Sequence[ex.Pred] | None = None,
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
         footer_hint: int = DEFAULT_FOOTER_HINT,
     ):
         self.client = client
         self.files = list(files)
-        self.columns = list(columns) if columns is not None else None
+        self.columns = list(columns)
         self.predicate = list(predicate or [])
         self.chunk_bytes = chunk_bytes
         self.footer_hint = footer_hint
@@ -126,18 +127,11 @@ class ParquetScanOperator:
                 if not self._keep_row_group(rg_meta, names, schema):
                     continue
                 self.metrics.row_groups_scanned += 1
-                if self.columns is None:
-                    self.metrics.compressed_bytes += sum(
-                        rg_meta.column(i).total_compressed_size
-                        for i in range(rg_meta.num_columns)
-                    )
-                    self.metrics.uncompressed_bytes += rg_meta.total_byte_size
-                else:
-                    for c in self.columns:
-                        if c in names:
-                            cm = rg_meta.column(names[c])
-                            self.metrics.compressed_bytes += cm.total_compressed_size
-                            self.metrics.uncompressed_bytes += cm.total_uncompressed_size
+                for c in self.columns:
+                    if c in names:
+                        cm = rg_meta.column(names[c])
+                        self.metrics.compressed_bytes += cm.total_compressed_size
+                        self.metrics.uncompressed_bytes += cm.total_uncompressed_size
                 tbl = pf.read_row_group(rg, columns=self.columns)
                 self.metrics.rows_read += tbl.num_rows
                 yield tbl
@@ -151,7 +145,4 @@ class ParquetScanOperator:
         if self._schema is None:
             f, _ = self._open(*self.files[0])
             f.close()
-        schema = self._schema
-        if self.columns is not None:
-            schema = pa.schema([schema.field(c) for c in self.columns])
-        return schema.empty_table()
+        return pa.schema([self._schema.field(c) for c in self.columns]).empty_table()

@@ -80,9 +80,6 @@ STRAGGLER_LARGE_P = 2500
 #: visible; calibrated to Table 3's 13 s at 1000 workers where transfer time
 #: alone is ~5 s).
 PHASE_SYNC_S = 0.8
-#: Buckets created at installation time for the exchange (paper §4.4.1 uses
-#: 10 in its example; §4.4.2 mentions up to 300 for 10k workers).
-DEFAULT_EXCHANGE_BUCKETS = 10
 #: Retry amplification under sustained S3 throttling (exponential backoff on
 #: 503 SlowDown). Calibrated so the 1-level S3 exchange at 250 workers lands
 #: at Pocket's published 98 s baseline.

@@ -15,10 +15,10 @@ A deterministic discrete-event model of ``TwoLevelExchange`` (write combining,
 * per-bucket S3 rate limits stretch phases whose request rate exceeds them;
 * phase changes pay a sync round-trip (result polling/LIST latency).
 
-The same machinery with ``levels=1``, one bucket, and 2018-era Lambda
-bandwidth models the *Pocket S3 baseline* (98 s at 250 workers), where the
-quadratic request count hits the single-prefix rate limit and retry backoff
-amplifies the stall.
+The same machinery with a 1-level exchange over one bucket and 2018-era
+Lambda bandwidth models the *Pocket S3 baseline* (98 s at 250 workers),
+where the quadratic request count hits the single-prefix rate limit and
+retry backoff amplifies the stall.
 """
 from __future__ import annotations
 
@@ -71,7 +71,6 @@ class ExchangeRuntime:
     """Result of the exchange-runtime DES."""
 
     e2e_s: float
-    invocation_s: float
     phases: list  # list[PhaseStats]
     waiting_fraction: float  # share of worker-seconds spent waiting (Fig 13)
     fastest_worker_s: float  # end-to-end time of the fastest worker
@@ -81,32 +80,34 @@ class ExchangeRuntime:
         return self.fastest_worker_s / self.e2e_s
 
 
+#: Lambada's exchange in §5.5: two levels with write combining
+TWO_LEVEL_WC = alg.ExchangeSpec(levels=2, write_combining=True)
+
+
 def simulate_exchange_runtime(
     data_bytes: float,
     n_workers: int,
+    spec: alg.ExchangeSpec = TWO_LEVEL_WC,
     *,
-    levels: int = 2,
-    write_combining: bool = True,
-    n_buckets: int = C.DEFAULT_EXCHANGE_BUCKETS,
     worker_bw_bytes_s: float | None = None,
     retry_amplification: float = 1.0,
 ) -> ExchangeRuntime:
-    """Simulate a ``levels``-level write-combining exchange of ``data_bytes``
-    on ``C.EXCHANGE_MEMORY_MIB`` workers invoked in us-east-1, under today's
-    S3 rate limits."""
+    """Simulate the exchange variant ``spec`` of ``data_bytes`` on
+    ``C.EXCHANGE_MEMORY_MIB`` workers invoked in us-east-1, under today's S3
+    rate limits. Each level's PUT and GET counts are
+    :func:`~repro.exchange.algorithms.expected_requests`' own."""
     P = n_workers
-    dims = alg.grid_dims(P, levels)
+    requests = alg.expected_requests(P, spec)
+    dims = requests["dims"]
     per_worker = data_bytes / P
     bw = worker_bw_bytes_s or netmodel.steady_bandwidth(C.EXCHANGE_MEMORY_MIB)
     base = per_worker / bw
     limits = ratelimit.CURRENT_LIMITS
 
     tree = invocation.simulate_two_level(P, invocation.REGIONS["us"], cold=True)
-    start = np.asarray(tree.running[:P])
-    if len(start) < P:
-        start = np.pad(start, (0, P - len(start)), constant_values=start.max())
+    start = np.asarray(tree.running)
 
-    groups_per_level = [[alg.group_id(p, dims, lvl) for p in range(P)] for lvl in range(levels)]
+    groups_per_level = [[alg.group_id(p, dims, lvl) for p in range(P)] for lvl in range(len(dims))]
 
     phases: list[PhaseStats] = []
     busy = np.zeros(P)  # useful seconds per worker
@@ -114,16 +115,17 @@ def simulate_exchange_runtime(
     busy += base
     phases.append(PhaseStats("read input", base, base, base, base))
 
-    for lvl in range(levels):
+    for lvl, level_requests in enumerate(requests["per_level"]):
         d = dims[lvl]
         # --- write phase (with stragglers and PUT rate limits)
         s = _slowdowns(P, lvl)
         write = base * s
-        # P PUTs (write combining) or P*d PUTs spread over n_buckets
-        n_puts = P if write_combining else P * d
+        # the level's PUTs spread over the buckets
         offered = max(base, 1e-9)
         put_stretch = (
-            ratelimit.throttled_duration(n_puts // n_buckets, limits.put_per_s, offered)
+            ratelimit.throttled_duration(
+                level_requests["puts"] // spec.n_buckets, limits.put_per_s, offered
+            )
             / offered
         )
         write = write * max(1.0, put_stretch * retry_amplification if put_stretch > 1 else 1.0)
@@ -144,13 +146,11 @@ def simulate_exchange_runtime(
         for g in np.unique(gids):
             mask = gids == g
             group_max[mask] = t_write_end[mask].max()
-        # --- read phase (ranged GETs; P*d requests over the level's buckets)
-        n_parts = d
-        read = base + n_parts * C.S3_RTT_S / 8  # 8 concurrent connections
-        offered = max(base, 1e-9)
+        # --- read phase (ranged GETs of d parts, spread over the buckets)
+        read = base + d * C.S3_RTT_S / 8  # 8 concurrent connections
         get_stretch = (
             ratelimit.throttled_duration(
-                P * d // n_buckets, limits.get_per_s, offered
+                level_requests["gets"] // spec.n_buckets, limits.get_per_s, offered
             )
             / offered
         )
@@ -164,7 +164,6 @@ def simulate_exchange_runtime(
     waiting = max(0.0, 1.0 - float(busy.sum()) / total) if total else 0.0
     return ExchangeRuntime(
         e2e_s=e2e + C.RESULT_FETCH_S,
-        invocation_s=float(tree.all_running),
         phases=phases,
         waiting_fraction=waiting,
         fastest_worker_s=float((t - start).min()),
@@ -189,9 +188,7 @@ def pocket_s3_baseline_runtime() -> float:
     return simulate_exchange_runtime(
         100e9,
         250,
-        levels=1,
-        write_combining=False,
-        n_buckets=1,
+        alg.ExchangeSpec(levels=1, n_buckets=1),
         worker_bw_bytes_s=POCKET_ERA_BW_BYTES_S,
         retry_amplification=C.THROTTLE_RETRY_AMPLIFICATION,
     ).e2e_s

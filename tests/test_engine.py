@@ -3,7 +3,6 @@ error reporting, the one-job query shape. Q1/Q6 run once (session
 fixtures); extra runs here vary the worker count and failure modes."""
 import datetime
 import io
-import shutil
 import uuid
 from pathlib import Path
 
@@ -21,9 +20,9 @@ from repro.s3.store import S3Store
 
 
 class TestQ1:
-    def test_result_matches_duckdb(self, mq1, lineitem_ds):
+    def test_result_matches_duckdb(self, mq1, lineitem_ds, result_df):
         _, pdf = lineitem_ds
-        oracle.assert_equivalent(mq1.result.spark_df, queries.Q1_SQL, lineitem=pdf)
+        oracle.assert_equivalent(result_df(mq1.result), queries.Q1_SQL, lineitem=pdf)
 
     def test_one_worker_per_file(self, mq1):
         assert mq1.result.n_workers == 16
@@ -57,9 +56,9 @@ class TestQ1:
 
 
 class TestQ6:
-    def test_result_matches_duckdb(self, mq6, lineitem_ds):
+    def test_result_matches_duckdb(self, mq6, lineitem_ds, result_df):
         _, pdf = lineitem_ds
-        oracle.assert_equivalent(mq6.result.spark_df, queries.Q6_SQL, lineitem=pdf)
+        oracle.assert_equivalent(result_df(mq6.result), queries.Q6_SQL, lineitem=pdf)
 
     def test_selectivity_near_2_percent(self, mq6):
         """Paper: Q6 'selects only 2% of the relation'."""
@@ -88,18 +87,18 @@ class TestQ6:
 
 
 class TestEngineMechanics:
-    def test_listing1_pipeline(self, spark, store_root, lineitem_ds):
+    def test_listing1_pipeline(self, spark, store_root, lineitem_ds, result_df):
         info, pdf = lineitem_ds
         src = Lambada(store_root).from_files(info.files)
         res = engine.run_query(spark, store_root, queries.listing1(src), files_per_worker=4)
-        oracle.assert_equivalent(res.spark_df, queries.LISTING1_SQL, lineitem=pdf)
+        oracle.assert_equivalent(result_df(res), queries.LISTING1_SQL, lineitem=pdf)
 
-    def test_fewer_workers_than_files(self, spark, store_root, lineitem_ds):
+    def test_fewer_workers_than_files(self, spark, store_root, lineitem_ds, result_df):
         info, pdf = lineitem_ds
         src = Lambada(store_root).from_files(info.files)
         res = engine.run_query(spark, store_root, queries.q6(src), files_per_worker=4)
         assert res.n_workers == 4
-        oracle.assert_equivalent(res.spark_df, queries.Q6_SQL, lineitem=pdf)
+        oracle.assert_equivalent(result_df(res), queries.Q6_SQL, lineitem=pdf)
 
     @pytest.mark.parametrize("fpw", [-2, 0])
     def test_bad_files_per_worker_rejected(self, spark, store_root, lineitem_ds, fpw):
@@ -132,28 +131,19 @@ class TestEngineMechanics:
     ROWS_SQL = "SELECT l_quantity * l_discount AS v FROM lineitem WHERE l_quantity < 3"
 
     @pytest.mark.parametrize("kind", ["q1", "rows"])
-    def test_spark_df_is_the_collected_result(self, spark, store_root, lineitem_ds, kind):
-        """``spark_df`` is a DataFrame over ``result``: evaluating it reruns
-        no worker, so it needs no result-queue report and posts none. Also
-        for a query without aggregation, whose rows are the workers' output."""
+    def test_collected_result_matches_duckdb(self, spark, store_root, lineitem_ds, kind, result_df):
+        """``result`` is the driver's final aggregation of the collected
+        partial states, or for a query without aggregation the rows the
+        workers output."""
         info, pdf = lineitem_ds
         src = Lambada(store_root).from_files(info.files)
         if kind == "q1":
             q = queries.q1(src)
         else:
             q = src.filter(col("l_quantity") < 3).map(v=col("l_quantity") * col("l_discount"))
-        run_id = uuid.uuid4().hex[:12]
-        res = engine.run_query(spark, store_root, q, run_id=run_id)
-        qdir = Path(store_root) / engine.RESULT_BUCKET / run_id
-        shutil.rmtree(qdir)
-        got = res.spark_df.toPandas()
-        assert not qdir.exists()
-        assert list(got.columns) == list(res.result.columns)
-        pd.testing.assert_frame_equal(
-            oracle._canon(got), oracle._canon(res.result), check_dtype=False
-        )
+        res = engine.run_query(spark, store_root, q)
         sql = queries.Q1_SQL if kind == "q1" else self.ROWS_SQL
-        oracle.assert_equivalent(res.spark_df, sql, lineitem=pdf)
+        oracle.assert_equivalent(result_df(res), sql, lineitem=pdf)
 
     @pytest.mark.parametrize("name", ["q1", "q6"])
     def test_one_spark_job_with_one_stage(self, spark, store_root, lineitem_ds, name):
@@ -178,7 +168,7 @@ class TestEngineMechanics:
         [{"files_per_worker": 6}, {"files_per_worker": 1}, {"files_per_worker": 3}],
         ids=["n3", "n16", "fpw3"],  # 3, 16 and 6 workers over the 16 files
     )
-    def test_file_assignment(self, spark, store_root, lineitem_ds, mq1, workers):
+    def test_file_assignment(self, spark, store_root, lineitem_ds, mq1, workers, result_df):
         """Also when the worker IDs do not split evenly over the job's
         ``defaultParallelism`` tasks (3 and 6 workers), every file is
         scanned by exactly one worker and every worker reports exactly once."""
@@ -195,7 +185,7 @@ class TestEngineMechanics:
         reports = sorted(p.name for p in qdir.iterdir())
         assert reports == sorted(f"w{w}.json" for w in range(res.n_workers))
         assert [w.worker_id for w in ws] == list(range(res.n_workers))
-        oracle.assert_equivalent(res.spark_df, queries.Q1_SQL, lineitem=pdf)
+        oracle.assert_equivalent(result_df(res), queries.Q1_SQL, lineitem=pdf)
 
 
     def test_reused_run_id_reads_only_this_runs_reports(self, spark, store_root, lineitem_ds):
@@ -241,7 +231,7 @@ class TestDatePruning:
     @pytest.mark.parametrize(
         "typ", [pa.date32(), pa.timestamp("us"), pa.timestamp("ns")], ids=str
     )
-    def test_matches_duckdb_and_scans_the_groups_that_meet(self, spark, tmp_path, typ):
+    def test_matches_duckdb_and_scans_the_groups_that_meet(self, spark, tmp_path, typ, result_df):
         days = [datetime.datetime.fromisoformat(d) for d in self.DAYS]
         t = pa.table({"d": pa.array(days).cast(typ), "v": pa.array(range(len(days)))})
         root = str(tmp_path)
@@ -257,7 +247,7 @@ class TestDatePruning:
             .aggregate(keys=[], aggs=[AggSpec("n", "count"), AggSpec("s", "sum", col("v"))])
         )
         res = engine.run_query(spark, root, q)
-        oracle.assert_equivalent(res.spark_df, self.SQL, t=t)
+        oracle.assert_equivalent(result_df(res), self.SQL, t=t)
         lo, hi = (datetime.datetime.fromisoformat(x) for x in (self.LO, self.HI))
         groups = [days[i : i + 2] for i in range(0, len(days), 2)]
         meets = sum(1 for g in groups if max(g) >= lo and min(g) <= hi)
@@ -279,12 +269,12 @@ class TestTypedAggregates:
         ],
         ids=["max-timestamp", "min-string", "sum-int", "avg-int"],
     )
-    def test_matches_duckdb(self, spark, store_root, lineitem_ds, fn, column):
+    def test_matches_duckdb(self, spark, store_root, lineitem_ds, fn, column, result_df):
         info, pdf = lineitem_ds
         src = Lambada(store_root).from_files(info.files)
         res = engine.run_query(spark, store_root, src.reduce(fn, col(column)), files_per_worker=4)
         sql = f"SELECT {fn}({column}) AS value FROM lineitem"
-        oracle.assert_equivalent(res.spark_df, sql, lineitem=pdf)
+        oracle.assert_equivalent(result_df(res), sql, lineitem=pdf)
         if fn == "sum":
             assert res.result["value"].dtype == "int64"
 
@@ -295,7 +285,7 @@ class TestEmptySelection:
     AGGS = [AggSpec("n", "count"), AggSpec("s", "sum", col("l_quantity"))]
     SQL = "SELECT {keys}count(*) AS n, sum(l_quantity) AS s FROM lineitem WHERE l_quantity < -1"
 
-    def _run(self, spark, store_root, lineitem_ds, keys):
+    def _run(self, spark, store_root, lineitem_ds, keys, result_df):
         info, pdf = lineitem_ds
         src = Lambada(store_root).from_files(info.files)
         q = src.filter(col("l_quantity") < -1).aggregate(keys=keys, aggs=self.AGGS)
@@ -303,17 +293,17 @@ class TestEmptySelection:
         sql = self.SQL.format(keys="".join(f"{k}, " for k in keys))
         if keys:
             sql += " GROUP BY " + ", ".join(keys)
-        oracle.assert_equivalent(res.spark_df, sql, lineitem=pdf)
+        oracle.assert_equivalent(result_df(res), sql, lineitem=pdf)
         return res.result
 
-    def test_keyless_count_is_zero(self, spark, store_root, lineitem_ds):
-        result = self._run(spark, store_root, lineitem_ds, [])
+    def test_keyless_count_is_zero(self, spark, store_root, lineitem_ds, result_df):
+        result = self._run(spark, store_root, lineitem_ds, [], result_df)
         assert len(result) == 1
         assert result["n"].iloc[0] == 0
         assert pd.isna(result["s"].iloc[0])
 
-    def test_grouped_has_no_rows(self, spark, store_root, lineitem_ds):
-        result = self._run(spark, store_root, lineitem_ds, ["l_returnflag"])
+    def test_grouped_has_no_rows(self, spark, store_root, lineitem_ds, result_df):
+        result = self._run(spark, store_root, lineitem_ds, ["l_returnflag"], result_df)
         assert len(result) == 0
         assert list(result.columns) == ["l_returnflag", "n", "s"]
 
@@ -324,7 +314,7 @@ class TestLiteralExpressions:
     SQL = "SELECT sum({v}) AS value FROM lineitem WHERE l_quantity < 10"
 
     @pytest.mark.parametrize("kind", ["reduce", "map"])
-    def test_literal_sum_matches_duckdb(self, spark, store_root, lineitem_ds, kind):
+    def test_literal_sum_matches_duckdb(self, spark, store_root, lineitem_ds, kind, result_df):
         info, pdf = lineitem_ds
         src = Lambada(store_root).from_files(info.files).filter(col("l_quantity") < 10)
         if kind == "reduce":
@@ -332,7 +322,7 @@ class TestLiteralExpressions:
         else:
             q, v = src.map(v=lit(2.0)).reduce("sum", col("v")), "2.0"
         res = engine.run_query(spark, store_root, q, files_per_worker=4)
-        oracle.assert_equivalent(res.spark_df, self.SQL.format(v=v), lineitem=pdf)
+        oracle.assert_equivalent(result_df(res), self.SQL.format(v=v), lineitem=pdf)
 
 
 class TestNulls:
@@ -362,7 +352,7 @@ class TestNulls:
         return root, [("nulls", "t.parquet")]
 
     @pytest.mark.parametrize("keys", [[], ["k"]], ids=["keyless", "grouped"])
-    def test_all_aggregates_match_duckdb(self, spark, nulls_files, keys):
+    def test_all_aggregates_match_duckdb(self, spark, nulls_files, keys, result_df):
         root, files = nulls_files
         aggs = [AggSpec("cnt", "count")]
         sql = ["count(*) AS cnt"]
@@ -380,19 +370,44 @@ class TestNulls:
         select = ", ".join([*keys, *sql])
         group = " GROUP BY k" if keys else ""
         oracle.assert_equivalent(
-            res.spark_df, f"SELECT {select} FROM t WHERE i >= 1 AND x < 9.0{group}", t=self.TABLE
+            result_df(res), f"SELECT {select} FROM t WHERE i >= 1 AND x < 9.0{group}", t=self.TABLE
         )
 
     @pytest.mark.parametrize("keys", [[], ["k"]], ids=["keyless", "grouped"])
-    def test_count_of_a_column_skips_nulls(self, spark, nulls_files, keys):
+    def test_count_of_a_column_skips_nulls(self, spark, nulls_files, keys, result_df):
         root, files = nulls_files
         aggs = [
             AggSpec("cnt", "count"),
             AggSpec("cnt_n", "count", col("n")),
             AggSpec("cnt_f", "count", col("f")),
+            # SQL's AND: NULL AND FALSE is false, so it counts (i NULL, x 1.5)
+            AggSpec("cnt_and", "count", (col("i") > 1) & (col("x") > 5.0)),
         ]
         q = Lambada(root).from_files(files).aggregate(keys=keys, aggs=aggs)
         res = engine.run_query(spark, root, q)
-        select = ", ".join([*keys, "count(*) AS cnt", "count(n) AS cnt_n", "count(f) AS cnt_f"])
+        select = ", ".join(
+            [
+                *keys,
+                "count(*) AS cnt",
+                "count(n) AS cnt_n",
+                "count(f) AS cnt_f",
+                "count((i > 1) AND (x > 5.0)) AS cnt_and",
+            ]
+        )
         group = " GROUP BY k" if keys else ""
-        oracle.assert_equivalent(res.spark_df, f"SELECT {select} FROM t{group}", t=self.TABLE)
+        oracle.assert_equivalent(
+            result_df(res), f"SELECT {select} FROM t{group}", t=self.TABLE
+        )
+
+    def test_count_only_reads_no_column_chunk(self, spark, nulls_files, result_df):
+        """An unfiltered ``count(*)`` reads no column: each file costs its
+        HEAD and one GET of a footer window that holds no column chunk."""
+        root, files = nulls_files
+        q = Lambada(root).from_files(files).aggregate(keys=[], aggs=[AggSpec("cnt", "count")])
+        footer_hint = 1 << 11  # the 4.5 KB file's 1.9 KB footer, not its data
+        res = engine.run_query(spark, root, q, footer_hint=footer_hint)
+        oracle.assert_equivalent(result_df(res), "SELECT count(*) AS cnt FROM t", t=self.TABLE)
+        assert sum(w.compressed_bytes for w in res.metrics.workers) == 0
+        ledger = res.metrics.total_ledger
+        assert (ledger.heads, ledger.gets) == (len(files), len(files))
+        assert ledger.bytes_read <= len(files) * footer_hint

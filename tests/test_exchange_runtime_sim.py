@@ -1,6 +1,9 @@
 """Exchange-runtime DES vs Table 3 / Fig 13 / §5.5 claims."""
+from dataclasses import replace
+
 import pytest
 
+from repro.exchange.algorithms import ExchangeSpec
 from repro.sim import baselines, exchange_runtime as xr
 
 
@@ -90,16 +93,12 @@ class TestFig13:
 class TestRateLimitMechanics:
     def test_single_bucket_quadratic_throttles(self):
         """The Pocket-S3 failure mode: 1 level + 1 bucket + P^2 requests."""
-        throttled = xr.simulate_exchange_runtime(
-            100e9, 250, levels=1, write_combining=False, n_buckets=1
-        )
-        spread = xr.simulate_exchange_runtime(
-            100e9, 250, levels=1, write_combining=False, n_buckets=50
-        )
+        throttled = xr.simulate_exchange_runtime(100e9, 250, ExchangeSpec(levels=1, n_buckets=1))
+        spread = xr.simulate_exchange_runtime(100e9, 250, ExchangeSpec(levels=1, n_buckets=50))
         assert throttled.e2e_s > 1.5 * spread.e2e_s
 
     def test_bucket_spreading_restores_speed(self):
         """§4.4.2: with enough buckets the 2l exchange is rate-limit-free."""
-        few = xr.simulate_exchange_runtime(100e9, 1000, n_buckets=1)
-        many = xr.simulate_exchange_runtime(100e9, 1000, n_buckets=10)
+        few = xr.simulate_exchange_runtime(100e9, 1000, replace(xr.TWO_LEVEL_WC, n_buckets=1))
+        many = xr.simulate_exchange_runtime(100e9, 1000, replace(xr.TWO_LEVEL_WC, n_buckets=10))
         assert many.e2e_s <= few.e2e_s

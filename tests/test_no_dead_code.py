@@ -111,9 +111,6 @@ KNOB_ALLOWLIST = {
     ("core/engine.py", "run_query", "memory_limit_mib"): (
         "the §3.3 memory guard, a safety path the OOM test drives"
     ),
-    ("exchange/algorithms.py", "ExchangeSpec", "n_buckets"): (
-        "the installation-time bucket count of §4.4.1"
-    ),
     ("scan/s3file.py", "S3RandomAccessFile.seek", "whence"): (
         "file protocol pyarrow calls positionally"
     ),

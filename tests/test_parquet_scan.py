@@ -17,6 +17,7 @@ from repro.scan.parquet_scan import ParquetScanOperator
 N = 8000
 N_FILES = 4
 ROW_GROUPS = 2  # per file
+COLUMNS = ["x", "y", "z", "tag"]  # every column of the files
 
 
 def _frame() -> pd.DataFrame:
@@ -64,7 +65,7 @@ def scan_env(tmp_path_factory):
 class TestCorrectness:
     def test_full_scan_matches_source(self, scan_env):
         store, files, pdf = scan_env
-        op = ParquetScanOperator(store.client(), files)
+        op = ParquetScanOperator(store.client(), files, columns=COLUMNS)
         got = _read_all(op).to_pandas()
         pd.testing.assert_frame_equal(got.reset_index(drop=True), pdf.reset_index(drop=True))
 
@@ -77,7 +78,7 @@ class TestCorrectness:
 
     def test_one_table_per_surviving_row_group(self, scan_env):
         store, files, _ = scan_env
-        op = ParquetScanOperator(store.client(), files)
+        op = ParquetScanOperator(store.client(), files, columns=COLUMNS)
         tables = list(op.tables())
         assert len(tables) == N_FILES * ROW_GROUPS
 
@@ -85,7 +86,7 @@ class TestCorrectness:
         """Pruning is row-group granular: surviving groups keep all rows."""
         store, files, pdf = scan_env
         pred = [(ex.col("x") < ex.lit(1))]
-        op = ParquetScanOperator(store.client(), files, predicate=pred)
+        op = ParquetScanOperator(store.client(), files, columns=COLUMNS, predicate=pred)
         got = _read_all(op).to_pandas()
         rg_rows = N // (N_FILES * ROW_GROUPS)
         assert len(got) == rg_rows
@@ -126,7 +127,7 @@ class TestPruning:
     def test_rowgroups_scanned_tracks_selectivity(self, scan_env, cutoff, expected_groups):
         store, files, _ = scan_env
         op = ParquetScanOperator(
-            store.client(), files, predicate=[(ex.col("x") <= ex.lit(cutoff))]
+            store.client(), files, columns=COLUMNS, predicate=[(ex.col("x") <= ex.lit(cutoff))]
         )
         _read_all(op)
         assert op.metrics.row_groups_scanned == expected_groups
@@ -138,7 +139,7 @@ class TestPruning:
         store, files, _ = scan_env
         client = store.client()
         op = ParquetScanOperator(
-            client, files[-1:], predicate=[(ex.col("x") < ex.lit(0))]
+            client, files[-1:], columns=COLUMNS, predicate=[(ex.col("x") < ex.lit(0))]
         )
         out = _read_all(op)
         assert out.num_rows == 0
@@ -150,13 +151,13 @@ class TestPruning:
         store, files, _ = scan_env
         with pytest.raises(ValueError):
             ParquetScanOperator(
-                store.client(), files, predicate=[(ex.col("x") * 2 <= ex.lit(5))]
+                store.client(), files, columns=COLUMNS, predicate=[(ex.col("x") * 2 <= ex.lit(5))]
             )
 
     def test_predicate_on_statless_column_keeps_groups(self, scan_env):
         store, files, _ = scan_env
         op = ParquetScanOperator(
-            store.client(), files, predicate=[(ex.col("nosuchcol") <= ex.lit(5))]
+            store.client(), files, columns=COLUMNS, predicate=[(ex.col("nosuchcol") <= ex.lit(5))]
         )
         _read_all(op)
         assert op.metrics.row_groups_scanned == N_FILES * ROW_GROUPS
@@ -169,7 +170,7 @@ class TestRequestAccounting:
     def test_projection_reduces_bytes_read(self, scan_env):
         store, files, _ = scan_env
         c_all, c_two = store.client(), store.client()
-        _read_all(ParquetScanOperator(c_all, files, **self.IO))
+        _read_all(ParquetScanOperator(c_all, files, columns=COLUMNS, **self.IO))
         _read_all(ParquetScanOperator(c_two, files, columns=["x"], **self.IO))
         assert c_two.ledger.bytes_read < c_all.ledger.bytes_read
         assert c_two.ledger.gets < c_all.ledger.gets
@@ -177,9 +178,11 @@ class TestRequestAccounting:
     def test_pruning_reduces_requests(self, scan_env):
         store, files, _ = scan_env
         c_all, c_pruned = store.client(), store.client()
-        _read_all(ParquetScanOperator(c_all, files, **self.IO))
+        _read_all(ParquetScanOperator(c_all, files, columns=COLUMNS, **self.IO))
         _read_all(
-            ParquetScanOperator(c_pruned, files, predicate=[(ex.col("x") < ex.lit(1))], **self.IO)
+            ParquetScanOperator(
+                c_pruned, files, columns=COLUMNS, predicate=[(ex.col("x") < ex.lit(1))], **self.IO
+            )
         )
         assert c_pruned.ledger.gets < c_all.ledger.gets
         assert c_pruned.ledger.bytes_read < c_all.ledger.bytes_read
@@ -197,6 +200,9 @@ class TestRequestAccounting:
         counts = {}
         for chunk in (2**12, 2**14):
             c = store.client()
-            _read_all(ParquetScanOperator(c, files, chunk_bytes=chunk, footer_hint=2**12))
+            op = ParquetScanOperator(
+                c, files, columns=COLUMNS, chunk_bytes=chunk, footer_hint=2**12
+            )
+            _read_all(op)
             counts[chunk] = c.ledger.gets
         assert counts[2**12] > counts[2**14]
