@@ -1,9 +1,11 @@
 """Plan compilation: push-downs and scope split (paper §3.2).
 
-Lowers a logical plan into a :class:`PhysicalQuery` with
+Checks a logical plan's chain and lowers it into a :class:`PhysicalQuery`,
+in one walk from the scan up, with
   * projection push-down: the scan downloads only columns any operator uses,
-  * selection push-down: prunable conjuncts (bare column vs literal) become
-    the scan's min/max row-group predicate; *all* conjuncts remain as the
+  * selection push-down: each prunable conjunct (bare column vs literal)
+    becomes a prune interval ``(column, lo, hi)`` that the scan tests
+    against row-group min/max statistics; *all* conjuncts remain as the
     row-level residual filter (pruning is row-group-granular),
   * the aggregate keys and functions, unchanged: ``worker.PARTIAL_STATES``
     splits each function into the states the serverless scope computes and
@@ -23,37 +25,50 @@ class PhysicalQuery:
 
     files: list
     scan_columns: list  # projection push-down
-    scan_predicate: list  # prunable Pred conjuncts (min/max row-group pruning)
+    prune_intervals: list  # (column, lo, hi) per prunable conjunct
     residual_predicate: ex.Pred | None  # row-level filter (all conjuncts)
     projections: dict | None  # post-filter computed columns
     keys: list
     aggs: list  # list[pl.AggSpec]; empty => no aggregation (row output)
 
 
+#: The chain above the scan, in order: filters, at most one projection, at
+#: most one aggregate (the top node). A second scan ranks 0.
+_RANK = {pl.FilterNode: 1, pl.ProjectNode: 2, pl.AggregateNode: 3}
+
+
 def compile_plan(plan: pl.Plan) -> PhysicalQuery:
-    """Lower a validated logical plan into its physical form."""
-    pl.validate(plan)
+    """Check the chain (a scan of at least one file at the bottom, then
+    filters, then at most one projection, then at most one aggregate on
+    top) and lower it into its physical form."""
     nodes = plan.lineage()
-    scan: pl.ScanNode = nodes[0]
+    scan = nodes[0]
+    if not isinstance(scan, pl.ScanNode):
+        raise ValueError("plan must start with a scan")
+    if not scan.files:
+        raise ValueError("the scan has no files")
 
     predicates: list[ex.Pred] = []
     projections: dict | None = None
     keys: list = []
     aggs: list = []
-    seen_project = False
-    for n in nodes[1:]:
+    for below, n in zip(nodes, nodes[1:]):
+        rank, prev = _RANK.get(type(n), 0), _RANK.get(type(below), 0)
+        if rank < prev or rank == prev != 1:
+            raise ValueError(
+                f"{type(n).__name__} above {type(below).__name__}: a plan is a scan, "
+                "filters, at most one projection and at most one aggregate on top"
+            )
         if isinstance(n, pl.FilterNode):
-            if seen_project:
-                raise ValueError("filters after a projection are not supported")
             predicates.extend(n.predicate.conjuncts())
         elif isinstance(n, pl.ProjectNode):
             projections = dict(n.exprs)
-            seen_project = True
-        elif isinstance(n, pl.AggregateNode):
+        else:
             keys, aggs = list(n.keys), list(n.aggs)
 
-    # selection push-down: prunable conjuncts drive row-group pruning
-    scan_predicate = [p for p in predicates if p.prune_interval() is not None]
+    # selection push-down: the scan prunes row groups on these, once per query
+    intervals = [p.prune_interval() for p in predicates]
+    intervals = [iv for iv in intervals if iv is not None]
     residual = None
     if predicates:
         residual = predicates[0] if len(predicates) == 1 else ex.And(predicates)
@@ -76,7 +91,7 @@ def compile_plan(plan: pl.Plan) -> PhysicalQuery:
     return PhysicalQuery(
         files=list(scan.files),
         scan_columns=scan_columns,
-        scan_predicate=scan_predicate,
+        prune_intervals=intervals,
         residual_predicate=residual,
         projections=projections,
         keys=keys,

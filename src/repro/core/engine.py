@@ -35,6 +35,7 @@ from pyspark.sql.pandas.types import from_arrow_schema, to_arrow_schema
 from ..pytask import run_on_workers
 from ..s3.store import NoSuchKey, S3Client, S3Store
 from ..scan.parquet_scan import ParquetScanOperator
+from ..scan.s3file import DEFAULT_CHUNK_BYTES, DEFAULT_FOOTER_HINT
 from . import compile as qc
 from . import expr as ex
 from . import frontend
@@ -80,8 +81,8 @@ def run_query(
     query: frontend.Dataset,
     *,
     files_per_worker: int = 1,
-    chunk_bytes: int = 1 << 20,
-    footer_hint: int = 1 << 16,
+    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
+    footer_hint: int = DEFAULT_FOOTER_HINT,
     memory_limit_mib: int | None = None,
     run_id: str | None = None,
 ) -> QueryResult:

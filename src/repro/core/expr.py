@@ -2,9 +2,10 @@
 
 The paper's framework lowers UDF pipelines through an IR with selection and
 projection push-downs. This module is that IR's expression layer: column
-references, literals, arithmetic, and predicates. Predicates over a bare
-column and a literal expose a *prune interval* so the scan operator can skip
-row groups using Parquet min/max statistics (paper §4.3.2 / §5.3).
+references, literals, arithmetic, and predicates. A comparison of a bare
+column and a literal exposes a *prune interval*, which the compiler hands to
+the scan operator so it can skip row groups using Parquet min/max statistics
+(paper §4.3.2 / §5.3); ``BETWEEN`` is the conjunction of two comparisons.
 
 Expressions evaluate vectorised over Arrow tables with ``pyarrow.compute``
 (the reproduction's stand-in for the paper's LLVM-JIT-compiled pipelines —
@@ -78,8 +79,8 @@ class Expr:
         return Cmp("==", self, _wrap(o))
 
     def between(self, lo, hi):
-        """Inclusive range predicate."""
-        return Between(self, _wrap(lo), _wrap(hi))
+        """Inclusive range predicate: ``self >= lo AND self <= hi``."""
+        return And([Cmp(">=", self, _wrap(lo)), Cmp("<=", self, _wrap(hi))])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -181,26 +182,6 @@ class Cmp(Pred):
         if op in (">=", ">"):
             return (col, v, None)
         return (col, v, v)
-
-
-@dataclasses.dataclass(frozen=True)
-class Between(Pred):
-    expr: Expr
-    lo: Expr
-    hi: Expr
-
-    def eval(self, table):
-        v = self.expr.eval(table)
-        lo, hi = self.lo.eval(table), self.hi.eval(table)
-        return pc.and_kleene(pc.greater_equal(v, lo), pc.less_equal(v, hi))
-
-    def columns(self):
-        return self.expr.columns() | self.lo.columns() | self.hi.columns()
-
-    def prune_interval(self):
-        if isinstance(self.expr, Col) and isinstance(self.lo, Lit) and isinstance(self.hi, Lit):
-            return (self.expr.name, self.lo.value, self.hi.value)
-        return None
 
 
 @dataclasses.dataclass(frozen=True)

@@ -30,8 +30,6 @@ class Dataset:
         """Projection: keyword args name the output columns."""
         return Dataset(pl.ProjectNode(self.plan, dict(exprs)))
 
-    select = map
-
     def aggregate(self, keys: list[str], aggs: list[pl.AggSpec]) -> "Dataset":
         return Dataset(pl.AggregateNode(self.plan, list(keys), list(aggs)))
 

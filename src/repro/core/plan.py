@@ -1,6 +1,7 @@
 """Logical plan IR for Lambada queries (paper §3.2).
 
-A plan is a linear chain Scan -> (Filter | Project)* -> [Aggregate]. Plans are
+A plan is a linear chain Scan -> Filter* -> [Project] -> [Aggregate], which
+:func:`repro.core.compile.compile_plan` checks as it lowers it. Plans are
 divided into *scopes* at compile time: the scan/filter/project/partial-
 aggregate pipeline runs in the **serverless scope** (one fragment per worker),
 the final aggregation runs in the **driver scope** (here: one Arrow group-by
@@ -9,7 +10,6 @@ in the driver process).
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
 
 from . import expr as ex
 
@@ -80,21 +80,3 @@ class AggregateNode(Plan):
         names = [a.out_name for a in self.aggs] + list(self.keys)
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate output names in {names}")
-
-
-def validate(plan: Plan) -> None:
-    """Check the chain shape: one Scan of at least one file at the bottom,
-    at most one Project, at most one Aggregate at the top, filters anywhere
-    in between."""
-    nodes = plan.lineage()
-    if not isinstance(nodes[0], ScanNode):
-        raise ValueError("plan must start with a scan")
-    if not nodes[0].files:
-        raise ValueError("the scan has no files")
-    if sum(isinstance(n, ScanNode) for n in nodes) != 1:
-        raise ValueError("exactly one scan supported")
-    aggs = [i for i, n in enumerate(nodes) if isinstance(n, AggregateNode)]
-    if len(aggs) > 1 or (aggs and aggs[0] != len(nodes) - 1):
-        raise ValueError("at most one aggregate, and it must be the top node")
-    if sum(isinstance(n, ProjectNode) for n in nodes) > 1:
-        raise ValueError("at most one projection supported")

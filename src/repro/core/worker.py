@@ -105,8 +105,8 @@ def execute_fragment(
     files: list,
     phys: qc.PhysicalQuery,
     *,
-    chunk_bytes: int = 1 << 20,
-    footer_hint: int = 1 << 16,
+    chunk_bytes: int,
+    footer_hint: int,
     memory_limit_mib: int | None = None,
 ) -> tuple[pa.Table, WorkerMetrics]:
     """Run the serverless fragment; returns (partial states or rows, metrics).
@@ -122,7 +122,7 @@ def execute_fragment(
         client,
         files,
         columns=phys.scan_columns,
-        predicate=phys.scan_predicate,
+        intervals=phys.prune_intervals,
         chunk_bytes=chunk_bytes,
         footer_hint=footer_hint,
     )

@@ -118,9 +118,6 @@ def _count(p: int, rows: pa.Table) -> pa.RecordBatch:
 class ExchangeReport:
     """Accounting of one exchange run."""
 
-    spec: alg.ExchangeSpec
-    n_workers: int
-    dims: tuple
     input_rows: int
     output_rows: int
     ledger: Ledger  # exchange requests only (levels + collect)
@@ -310,9 +307,6 @@ def run_exchange(
     for phase in per_phase:
         total.merge(phase)
     report = ExchangeReport(
-        spec=spec,
-        n_workers=n_workers,
-        dims=dims,
         input_rows=int(n_in),
         output_rows=int(n_out),
         ledger=total.merge(collect_acc.value),

@@ -143,22 +143,12 @@ def first_generation_size(n_workers: int) -> int:
 
 
 @dataclasses.dataclass
-class TwoLevelTimeline:
-    """Timings of the two-level invocation (Fig 5)."""
+class TwoLevelTimeline(InvocationTimeline):
+    """Timings of the two-level invocation (Fig 5), over ALL workers."""
 
     #: per first-generation worker: (driver_delay, invocation_latency,
     #: second_generation_invocation_duration) — the three phases of Fig 5.
     first_gen_phases: list[tuple[float, float, float]]
-    initiated: list[float]  # initiation times of ALL workers
-    running: list[float]  # running times of ALL workers
-
-    @property
-    def last_initiated(self) -> float:
-        return max(self.initiated)
-
-    @property
-    def all_running(self) -> float:
-        return max(self.running)
 
 
 def simulate_two_level(
@@ -199,7 +189,7 @@ def simulate_two_level(
         else:
             dur = 0.0
         phases.append((driver.initiated[i], driver.running[i] - driver.initiated[i], dur))
-    return TwoLevelTimeline(phases, initiated, running)
+    return TwoLevelTimeline(initiated, running, first_gen_phases=phases)
 
 
 def table1() -> list[dict]:

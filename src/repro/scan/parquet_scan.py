@@ -6,9 +6,9 @@ relies on:
 
 * **metadata with a single file read** — the footer prefetch in the file
   object serves the Thrift footer and column-chunk offsets with one GET;
-* **selection push-down** — row groups whose min/max statistics cannot
-  satisfy the prunable predicate conjuncts are skipped entirely (no data
-  GETs; paper §5.3 / Fig 11);
+* **selection push-down** — row groups whose min/max statistics miss one
+  of the compiler's prune intervals ``(column, lo, hi)`` are skipped
+  entirely (no data GETs; paper §5.3 / Fig 11);
 * **projection push-down** — only the column chunks of ``columns`` are
   downloaded (ranged GETs, chunk-aligned per Fig 7); none when the query
   reads no column.
@@ -57,28 +57,22 @@ class ParquetScanOperator:
         files: Sequence[tuple[str, str]],
         *,
         columns: Sequence[str],
-        predicate: Sequence[ex.Pred] | None = None,
+        intervals: Sequence[tuple] = (),
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
         footer_hint: int = DEFAULT_FOOTER_HINT,
     ):
         self.client = client
         self.files = list(files)
         self.columns = list(columns)
-        self.predicate = list(predicate or [])
         self.chunk_bytes = chunk_bytes
         self.footer_hint = footer_hint
         self.metrics = WorkerMetrics(worker_id=-1)  # a worker sets its own
         self._schema: pa.Schema | None = None  # cached from the first footer
-        self._intervals = []
-        for p in self.predicate:
-            iv = p.prune_interval()
-            if iv is None:
-                raise ValueError(f"scan predicate {p!r} is not prunable")
-            self._intervals.append(iv)
+        self._intervals = list(intervals)
 
     # -- pruning ------------------------------------------------------------
     def _keep_row_group(self, rg_meta, names: dict, schema: pa.Schema) -> bool:
-        """A row group survives unless some conjunct proves it empty.
+        """A row group survives unless some interval misses its statistics.
         ``names`` maps the file's column names to their indices. The
         statistics become Arrow values of the column's type in ``schema``,
         so they meet the literal as the column's rows do in the residual

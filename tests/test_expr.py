@@ -97,16 +97,17 @@ class TestPruneIntervals:
     @pytest.mark.parametrize(
         "p,expected",
         [
-            (ex.col("a") <= ex.lit(5), ("a", None, 5)),
-            (ex.col("a") < ex.lit(5), ("a", None, 5)),
-            (ex.col("a") >= ex.lit(5), ("a", 5, None)),
-            (ex.col("a") > ex.lit(5), ("a", 5, None)),
-            (ex.col("a").eq(5), ("a", 5, 5)),
-            (ex.col("a").between(2, 8), ("a", 2, 8)),
+            (ex.col("a") <= ex.lit(5), [("a", None, 5)]),
+            (ex.col("a") < ex.lit(5), [("a", None, 5)]),
+            (ex.col("a") >= ex.lit(5), [("a", 5, None)]),
+            (ex.col("a") > ex.lit(5), [("a", 5, None)]),
+            (ex.col("a").eq(5), [("a", 5, 5)]),
+            (ex.col("a").between(2, 8), [("a", 2, None), ("a", None, 8)]),
         ],
     )
     def test_bare_column_vs_literal(self, p, expected):
-        assert p.prune_interval() == expected
+        """One interval per conjunct; BETWEEN is two comparisons."""
+        assert [c.prune_interval() for c in p.conjuncts()] == expected
 
     def test_reversed_comparison_flips(self):
         assert (ex.lit(5) >= ex.col("a")).prune_interval() == ("a", None, 5)

@@ -4,13 +4,18 @@ Pure pyarrow/pandas (no Spark): files are written straight into the store.
 """
 import io
 
+import duckdb
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from repro import oracle
+from repro.core import compile as qc
 from repro.core import expr as ex
+from repro.core.frontend import Lambada
+from repro.core.worker import execute_fragment
 from repro.s3.store import S3Store
 from repro.scan.parquet_scan import ParquetScanOperator
 
@@ -85,8 +90,7 @@ class TestCorrectness:
     def test_predicate_does_not_drop_rows_only_groups(self, scan_env):
         """Pruning is row-group granular: surviving groups keep all rows."""
         store, files, pdf = scan_env
-        pred = [(ex.col("x") < ex.lit(1))]
-        op = ParquetScanOperator(store.client(), files, columns=COLUMNS, predicate=pred)
+        op = ParquetScanOperator(store.client(), files, columns=COLUMNS, intervals=[("x", None, 1)])
         got = _read_all(op).to_pandas()
         rg_rows = N // (N_FILES * ROW_GROUPS)
         assert len(got) == rg_rows
@@ -112,8 +116,7 @@ class TestCorrectness:
 
     def test_empty_table_has_schema(self, scan_env):
         store, files, _ = scan_env
-        pred = [(ex.col("x") > ex.lit(10 * N))]
-        op = ParquetScanOperator(store.client(), files, columns=["y"], predicate=pred)
+        op = ParquetScanOperator(store.client(), files, columns=["y"], intervals=[("x", 10 * N, None)])
         out = _read_all(op)
         assert out.num_rows == 0
         assert out.schema.names == ["y"]
@@ -127,7 +130,7 @@ class TestPruning:
     def test_rowgroups_scanned_tracks_selectivity(self, scan_env, cutoff, expected_groups):
         store, files, _ = scan_env
         op = ParquetScanOperator(
-            store.client(), files, columns=COLUMNS, predicate=[(ex.col("x") <= ex.lit(cutoff))]
+            store.client(), files, columns=COLUMNS, intervals=[("x", None, cutoff)]
         )
         _read_all(op)
         assert op.metrics.row_groups_scanned == expected_groups
@@ -139,7 +142,7 @@ class TestPruning:
         store, files, _ = scan_env
         client = store.client()
         op = ParquetScanOperator(
-            client, files[-1:], columns=COLUMNS, predicate=[(ex.col("x") < ex.lit(0))]
+            client, files[-1:], columns=COLUMNS, intervals=[("x", None, 0)]
         )
         out = _read_all(op)
         assert out.num_rows == 0
@@ -147,17 +150,31 @@ class TestPruning:
         # HEAD for the size + the single footer GET; no data chunks
         assert client.ledger.gets == 1
 
-    def test_unprunable_conjunct_rejected(self, scan_env):
-        store, files, _ = scan_env
-        with pytest.raises(ValueError):
-            ParquetScanOperator(
-                store.client(), files, columns=COLUMNS, predicate=[(ex.col("x") * 2 <= ex.lit(5))]
-            )
+    def test_between_prunes_on_its_literal_bound(self, scan_env):
+        """``x BETWEEN z AND c`` is ``x >= z AND x <= c``: the literal bound
+        skips the row groups above ``c``, and the residual filter keeps
+        exactly DuckDB's rows."""
+        store, files, pdf = scan_env
+        cutoff = N // 4 - 1
+        q = Lambada(store.root).from_files(files).filter(ex.col("x").between(ex.col("z"), cutoff))
+        rows, m = execute_fragment(
+            str(store.root), 0, files, qc.compile_plan(q.plan), chunk_bytes=1 << 20, footer_hint=1 << 16
+        )
+        assert m.row_groups_scanned == 2
+        assert m.row_groups_total == N_FILES * ROW_GROUPS
+        con = duckdb.connect()
+        try:
+            con.register("t", pdf)
+            want = con.execute(f"SELECT x, z FROM t WHERE x BETWEEN z AND {cutoff}").fetchdf()
+        finally:
+            con.close()
+        assert 0 < len(want) < cutoff + 1
+        pd.testing.assert_frame_equal(oracle._canon(rows.to_pandas()), oracle._canon(want))
 
     def test_predicate_on_statless_column_keeps_groups(self, scan_env):
         store, files, _ = scan_env
         op = ParquetScanOperator(
-            store.client(), files, columns=COLUMNS, predicate=[(ex.col("nosuchcol") <= ex.lit(5))]
+            store.client(), files, columns=COLUMNS, intervals=[("nosuchcol", None, 5)]
         )
         _read_all(op)
         assert op.metrics.row_groups_scanned == N_FILES * ROW_GROUPS
@@ -181,7 +198,7 @@ class TestRequestAccounting:
         _read_all(ParquetScanOperator(c_all, files, columns=COLUMNS, **self.IO))
         _read_all(
             ParquetScanOperator(
-                c_pruned, files, columns=COLUMNS, predicate=[(ex.col("x") < ex.lit(1))], **self.IO
+                c_pruned, files, columns=COLUMNS, intervals=[("x", None, 1)], **self.IO
             )
         )
         assert c_pruned.ledger.gets < c_all.ledger.gets

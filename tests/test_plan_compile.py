@@ -26,8 +26,47 @@ class TestPlanShape:
             pl.ScanNode(FILES), [], [pl.AggSpec("s", "sum", col("a"))]
         )
         bad = pl.FilterNode(agg, col("s") <= 1)
-        with pytest.raises(ValueError):
-            pl.validate(bad)
+        with pytest.raises(ValueError, match="FilterNode above AggregateNode"):
+            qc.compile_plan(bad)
+
+    @pytest.mark.parametrize(
+        "build,match",
+        [
+            pytest.param(
+                lambda: source().map(v=col("a")).filter(col("v") <= lit(1)),
+                "FilterNode above ProjectNode",
+                id="filter-after-project",
+            ),
+            pytest.param(
+                lambda: source().map(v=col("a")).map(w=col("v")),
+                "ProjectNode above ProjectNode",
+                id="two-projections",
+            ),
+            pytest.param(
+                lambda: source().reduce("sum", col("a")).filter(col("value") <= lit(1)),
+                "FilterNode above AggregateNode",
+                id="filter-after-aggregate",
+            ),
+            pytest.param(
+                lambda: source().reduce("sum", col("a")).map(v=col("value")),
+                "ProjectNode above AggregateNode",
+                id="project-after-aggregate",
+            ),
+            pytest.param(
+                lambda: Dataset(pl.ScanNode(FILES, child=pl.ScanNode(FILES))),
+                "ScanNode above ScanNode",
+                id="second-scan",
+            ),
+            pytest.param(
+                lambda: Dataset(pl.ProjectNode(None, {"v": col("a")})),
+                "must start with a scan",
+                id="non-scan-bottom",
+            ),
+        ],
+    )
+    def test_out_of_order_chain_rejected(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            qc.compile_plan(build().plan)
 
     def test_duplicate_output_names_rejected(self):
         with pytest.raises(ValueError):
@@ -65,38 +104,32 @@ class TestPushdowns:
         phys = qc.compile_plan(q.plan)
         assert phys.scan_columns == ["a", "b", "c", "k"]
 
-    def test_prunable_conjuncts_become_scan_predicate(self):
+    def test_prunable_conjuncts_become_prune_intervals(self):
         q = source().filter((col("a") <= lit(1)) & (col("b") * 2 >= lit(0)))
         phys = qc.compile_plan(q.plan)
-        assert len(phys.scan_predicate) == 1
-        assert phys.scan_predicate[0].prune_interval() == ("a", None, 1)
+        assert phys.prune_intervals == [("a", None, 1)]
 
     def test_residual_keeps_all_conjuncts(self):
         q = source().filter((col("a") <= lit(1)) & (col("b") >= lit(2)))
         phys = qc.compile_plan(q.plan)
         assert set(phys.residual_predicate.columns()) == {"a", "b"}
-        assert len(phys.scan_predicate) == 2
+        assert len(phys.prune_intervals) == 2
 
     def test_multiple_filters_merge(self):
         q = source().filter(col("a") <= lit(1)).filter(col("b") >= lit(2))
         phys = qc.compile_plan(q.plan)
-        assert len(phys.scan_predicate) == 2
+        assert phys.prune_intervals == [("a", None, 1), ("b", 2, None)]
 
     def test_no_filter_means_no_predicate(self):
         phys = qc.compile_plan(source().plan)
-        assert phys.scan_predicate == []
+        assert phys.prune_intervals == []
         assert phys.residual_predicate is None
-        assert phys.scan_columns == []  # all columns
+        assert phys.scan_columns == []  # reads no column
 
     def test_projected_names_not_scan_columns(self):
         q = source().map(v=col("a") * col("b")).reduce("sum", col("v"))
         phys = qc.compile_plan(q.plan)
         assert phys.scan_columns == ["a", "b"]
-
-    def test_filters_after_projection_rejected(self):
-        q = source().map(v=col("a")).filter(col("v") <= lit(1))
-        with pytest.raises(ValueError):
-            qc.compile_plan(q.plan)
 
 
 class TestPartialSchema:
