@@ -2,11 +2,13 @@
 
 Checks a logical plan's chain and lowers it into a :class:`PhysicalQuery`,
 in one walk from the scan up, with
-  * projection push-down: the scan downloads only columns any operator uses,
+  * projection push-down: the scan downloads only columns any operator uses
+    (a query that neither projects nor aggregates returns, so reads, all),
   * selection push-down: each prunable conjunct (bare column vs literal)
     becomes a prune interval ``(column, lo, hi)`` that the scan tests
     against row-group min/max statistics; *all* conjuncts remain as the
-    row-level residual filter (pruning is row-group-granular),
+    row-level residual filter (pruning is row-group-granular), which the
+    scan applies to each row group whose statistics do not prove it,
   * the aggregate keys and functions, unchanged: ``worker.PARTIAL_STATES``
     splits each function into the states the serverless scope computes and
     the driver scope combines.
@@ -24,7 +26,7 @@ class PhysicalQuery:
     """Executable form of a plan: the serverless fragment + driver fragment."""
 
     files: list
-    scan_columns: list  # projection push-down
+    scan_columns: list | None  # projection push-down; None: every column
     prune_intervals: list  # (column, lo, hi) per prunable conjunct
     residual_predicate: ex.Pred | None  # row-level filter (all conjuncts)
     projections: dict | None  # post-filter computed columns
@@ -86,7 +88,8 @@ def compile_plan(plan: pl.Plan) -> PhysicalQuery:
     used |= {k for k in keys if k not in out_names}
     # aggregate exprs may reference projected names; those are not scan columns
     used -= out_names
-    scan_columns = sorted(used)
+    # rows without a projection keep every column of the table
+    scan_columns = None if projections is None and not aggs else sorted(used)
 
     return PhysicalQuery(
         files=list(scan.files),

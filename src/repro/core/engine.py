@@ -104,7 +104,7 @@ def run_query(
         chunk_bytes=chunk_bytes,
         footer_hint=footer_hint,
     )
-    empty_out, _ = run_pipeline(first.empty_table(), phys)
+    empty_out = run_pipeline(first.empty_table(), phys)
     spark_schema = from_arrow_schema(empty_out.schema, prefer_timestamp_ntz=True)
     out_schema = to_arrow_schema(spark_schema)  # Spark's timestamps are [us]
 

@@ -221,6 +221,15 @@ def lit(value) -> Lit:
     return Lit(value)
 
 
+def over_rows(e: Expr, table: pa.Table):
+    """``e`` over ``table``'s rows; a scalar result (an expression that reads
+    no column) is repeated once per row."""
+    v = e.eval(table)
+    if isinstance(v, (pa.Array, pa.ChunkedArray)):
+        return v
+    return pa.repeat(v, table.num_rows)
+
+
 def interval_overlaps(lo, hi, stat_min, stat_max) -> bool:
     """Whether [stat_min, stat_max] intersects the closed interval [lo, hi]
     (None = unbounded). Used for row-group pruning; returning True keeps the

@@ -6,10 +6,11 @@ out-of-memory situations are *reported* to the driver instead of the worker
 "dying silently"; and posts a success-or-error message (with metrics) to the
 result queue.
 
-The fragment pipeline is: S3 Parquet scan (with push-downs) -> residual
-filter -> projection, evaluated with ``pyarrow.compute`` over the scanned
-Arrow tables (the stand-in for the paper's JiT-compiled pipelines) ->
-partial aggregation, one Arrow group-by over all of the worker's rows. The
+The fragment pipeline is: S3 Parquet scan (with push-downs, and the
+residual filter on each row group whose statistics do not prove it) ->
+projection, evaluated with ``pyarrow.compute`` over the scanned Arrow tables
+(the stand-in for the paper's JiT-compiled pipelines) -> partial
+aggregation, one Arrow group-by over all of the worker's rows. The
 fragment returns an Arrow table: the partial states, or the rows of a query
 without aggregation, typed by this pipeline alone (the driver runs
 :func:`run_pipeline` over zero typed rows to learn the output schema).
@@ -46,25 +47,14 @@ class WorkerOOM(MemoryError):
     """Fragment would exceed the function's memory limit."""
 
 
-def _column(e: ex.Expr, table: pa.Table):
-    """``e`` over ``table``'s rows; a scalar result (an expression that reads
-    no column) is repeated once per row."""
-    v = e.eval(table)
-    if isinstance(v, (pa.Array, pa.ChunkedArray)):
-        return v
-    return pa.repeat(v, table.num_rows)
-
-
-def _filter_project(table: pa.Table, phys: qc.PhysicalQuery) -> pa.Table:
-    """Residual filter, then projection, of the scanned rows."""
-    if phys.residual_predicate is not None:
-        table = table.filter(_column(phys.residual_predicate, table))
-    if phys.projections is not None:
-        out = {name: _column(e, table) for name, e in phys.projections.items()}
-        for k in phys.keys:
-            out.setdefault(k, table[k])
-        table = pa.table(out)
-    return table
+def _project(rows: pa.Table, phys: qc.PhysicalQuery) -> pa.Table:
+    """Projection of the rows the scan's residual filter kept."""
+    if phys.projections is None:
+        return rows
+    out = {name: ex.over_rows(e, rows) for name, e in phys.projections.items()}
+    for k in phys.keys:
+        out.setdefault(k, rows[k])
+    return pa.table(out)
 
 
 def _partial_aggregate(rows: pa.Table, phys: qc.PhysicalQuery) -> pa.Table:
@@ -79,7 +69,7 @@ def _partial_aggregate(rows: pa.Table, phys: qc.PhysicalQuery) -> pa.Table:
     specs = []
     for a in phys.aggs:
         # count(*) reads no column: it counts the entries of a null-free one
-        values = pa.repeat(True, rows.num_rows) if a.expr is None else _column(a.expr, rows)
+        values = pa.repeat(True, rows.num_rows) if a.expr is None else ex.over_rows(a.expr, rows)
         for suffix, worker_agg, _ in PARTIAL_STATES[a.fn]:
             name = a.out_name + suffix
             cols[name] = values
@@ -89,14 +79,14 @@ def _partial_aggregate(rows: pa.Table, phys: qc.PhysicalQuery) -> pa.Table:
     return out.rename_columns([*phys.keys, *(s[0] for s in specs)])
 
 
-def run_pipeline(scanned: pa.Table, phys: qc.PhysicalQuery) -> tuple[pa.Table, int]:
-    """The fragment after the scan: residual filter and projection, then
-    partial aggregation when the query aggregates. Returns the fragment's
-    output (partial states, or the rows of a query without aggregation) and
-    the number of rows that passed the filter. Over the scan's typed empty
-    table it gives the output schema, which is how the driver learns it."""
-    rows = _filter_project(scanned, phys)
-    return (_partial_aggregate(rows, phys) if phys.aggs else rows), rows.num_rows
+def run_pipeline(rows: pa.Table, phys: qc.PhysicalQuery) -> pa.Table:
+    """The fragment after the scan, which has applied the residual filter:
+    projection, then partial aggregation when the query aggregates. Returns
+    the fragment's output (partial states, or the rows of a query without
+    aggregation). Over the scan's typed empty table it gives the output
+    schema, which is how the driver learns it."""
+    rows = _project(rows, phys)
+    return _partial_aggregate(rows, phys) if phys.aggs else rows
 
 
 def execute_fragment(
@@ -123,6 +113,7 @@ def execute_fragment(
         files,
         columns=phys.scan_columns,
         intervals=phys.prune_intervals,
+        residual=phys.residual_predicate,
         chunk_bytes=chunk_bytes,
         footer_hint=footer_hint,
     )
@@ -141,8 +132,9 @@ def execute_fragment(
     # from_batches, not concat_tables: it keeps the row count of tables
     # without columns (a count(*) reads none)
     batches = [b for t in parts for b in t.to_batches()]
-    scanned = pa.Table.from_batches(batches) if batches else scan.empty_table()
-    out, m.rows_out = run_pipeline(scanned, phys)
+    rows = pa.Table.from_batches(batches) if batches else scan.empty_table()
+    m.rows_out = rows.num_rows
+    out = run_pipeline(rows, phys)
     m.wall_time_s = time.monotonic() - t0
     m.ledger = vars(client.ledger).copy()
     return out, m

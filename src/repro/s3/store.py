@@ -102,19 +102,24 @@ class S3Store:
 
 
 class S3Client:
-    """Request interface with ledger accounting. One instance per worker."""
+    """Request interface with ledger accounting. One instance per worker.
+
+    Paths are plain strings and every GET is one ``os.open``/``os.pread``/
+    ``os.close``: a scan issues thousands of small ranged GETs, so the
+    request path stays lean. No file descriptor outlives its request."""
 
     def __init__(self, root: str | os.PathLike):
-        self.root = Path(root)
+        self.root = os.fspath(root)
         self.ledger = Ledger()
 
     # -- helpers ---------------------------------------------------------
-    def _path(self, bucket: str, key: str) -> Path:
-        if not (self.root / bucket).is_dir():
+    def _path(self, bucket: str, key: str) -> str:
+        base = os.path.join(self.root, bucket)
+        if not os.path.isdir(base):
             raise NoSuchBucket(bucket)
         if not _KEY_RE.match(key) or ".." in key:
             raise ValueError(f"invalid key {key!r}")
-        return self.root / bucket / key
+        return os.path.join(base, key)
 
     # -- requests --------------------------------------------------------
     def put(self, bucket: str, key: str, data: bytes) -> None:
@@ -123,8 +128,9 @@ class S3Client:
         The exchange runner relies on both: a LIST of a group prefix finds
         every sender's key, and each listed key reads back in full."""
         path = self._path(bucket, key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-" + uuid.uuid4().hex)
+        parent = os.path.dirname(path)
+        os.makedirs(parent, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=parent, prefix=".tmp-" + uuid.uuid4().hex)
         try:
             with os.fdopen(fd, "wb") as f:
                 f.write(data)
@@ -139,12 +145,15 @@ class S3Client:
         """GET an object or a byte range (HTTP Range header semantics)."""
         path = self._path(bucket, key)
         try:
-            with open(path, "rb") as f:
-                if offset:
-                    f.seek(offset)
-                data = f.read() if length is None else f.read(length)
+            fd = os.open(path, os.O_RDONLY)
         except FileNotFoundError:
             raise NoSuchKey(f"{bucket}/{key}") from None
+        try:
+            if length is None:
+                length = max(0, os.fstat(fd).st_size - offset)
+            data = os.pread(fd, length, offset)
+        finally:
+            os.close(fd)
         self.ledger.record("gets", bucket, len(data))
         return data
 
@@ -152,7 +161,7 @@ class S3Client:
         """HEAD: object size in bytes."""
         path = self._path(bucket, key)
         try:
-            size = path.stat().st_size
+            size = os.stat(path).st_size
         except FileNotFoundError:
             raise NoSuchKey(f"{bucket}/{key}") from None
         self.ledger.record("heads", bucket)
@@ -160,7 +169,7 @@ class S3Client:
 
     def list(self, bucket: str, prefix: str = "") -> list[str]:
         """LIST keys under a prefix (sorted, as S3 returns them)."""
-        base = self.root / bucket
+        base = Path(self.root, bucket)
         if not base.is_dir():
             raise NoSuchBucket(bucket)
         keys = []

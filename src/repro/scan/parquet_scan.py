@@ -8,15 +8,22 @@ relies on:
   object serves the Thrift footer and column-chunk offsets with one GET;
 * **selection push-down** — row groups whose min/max statistics miss one
   of the compiler's prune intervals ``(column, lo, hi)`` are skipped
-  entirely (no data GETs; paper §5.3 / Fig 11);
+  entirely (no data GETs; paper §5.3 / Fig 11). Each surviving row group
+  is filtered by the residual conjuncts its statistics leave open, and not
+  at all when its statistics prove every conjunct;
 * **projection push-down** — only the column chunks of ``columns`` are
   downloaded (ranged GETs, chunk-aligned per Fig 7); none when the query
-  reads no column.
+  reads no column, every one when ``columns`` is ``None``.
+
+Each row group decodes on the calling thread: a worker is a 1792 MiB
+function, which the Fig 4 CPU law gives one vCPU, and several workers share
+the cores of one Spark executor.
 
 The operator exposes the open/next/close interface as an iterator of Arrow
-tables (one per surviving row group). It counts row groups, rows and bytes
-into ``metrics``, a :class:`~repro.core.metrics.WorkerMetrics`; a worker
-points it at its own record, so each worker has one metrics record.
+tables (one per surviving row group, its residual applied). It counts row
+groups, rows before the residual and bytes into ``metrics``, a
+:class:`~repro.core.metrics.WorkerMetrics`; a worker points it at its own
+record, so each worker has one metrics record.
 """
 from __future__ import annotations
 
@@ -24,6 +31,7 @@ import io
 from typing import Iterator, Sequence
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..core import expr as ex
@@ -48,6 +56,27 @@ def _footer_metadata(f: S3RandomAccessFile) -> "pq.FileMetaData":
     return pq.read_metadata(io.BytesIO(blob))
 
 
+def _provable(typ: pa.DataType) -> bool:
+    """Whether a chunk's min/max statistics are exact bounds for the
+    residual's kernels: not floats (NaN is outside min/max), not strings
+    (statistics may be truncated)."""
+    return pa.types.is_integer(typ) or pa.types.is_date(typ) or pa.types.is_timestamp(typ)
+
+
+def _statistics(rg_meta, names: dict, column: str):
+    """The column chunk's statistics, or None when it has no min/max.
+    ``names`` maps the file's column names to their indices."""
+    idx = names.get(column)
+    st = None if idx is None else rg_meta.column(idx).statistics
+    return st if st is not None and st.has_min_max else None
+
+
+def _min_max(st, schema: pa.Schema, column: str) -> pa.Table:
+    """A chunk's min and max as two rows of ``column``, typed like its rows
+    in ``schema``, so they meet a literal as the rows do in the residual."""
+    return pa.table({column: pa.array([st.min, st.max], schema.field(column).type)})
+
+
 class ParquetScanOperator:
     """Scan ``files`` (list of ``(bucket, key)``) with push-downs applied."""
 
@@ -56,38 +85,55 @@ class ParquetScanOperator:
         client: S3Client,
         files: Sequence[tuple[str, str]],
         *,
-        columns: Sequence[str],
+        columns: Sequence[str] | None,
         intervals: Sequence[tuple] = (),
+        residual: ex.Pred | None = None,
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
         footer_hint: int = DEFAULT_FOOTER_HINT,
     ):
         self.client = client
         self.files = list(files)
-        self.columns = list(columns)
+        self.columns = None if columns is None else list(columns)
         self.chunk_bytes = chunk_bytes
         self.footer_hint = footer_hint
         self.metrics = WorkerMetrics(worker_id=-1)  # a worker sets its own
         self._schema: pa.Schema | None = None  # cached from the first footer
         self._intervals = list(intervals)
+        # each residual conjunct, with the column whose statistics may prove
+        # it: that of a bare column-vs-literal comparison, else None
+        self._conjuncts = []
+        for p in [] if residual is None else residual.conjuncts():
+            iv = p.prune_interval()
+            self._conjuncts.append((p, None if iv is None else iv[0]))
 
-    # -- pruning ------------------------------------------------------------
-    def _keep_row_group(self, rg_meta, names: dict, schema: pa.Schema) -> bool:
-        """A row group survives unless some interval misses its statistics.
-        ``names`` maps the file's column names to their indices. The
-        statistics become Arrow values of the column's type in ``schema``,
-        so they meet the literal as the column's rows do in the residual
-        filter."""
+    # -- pruning and proofs ---------------------------------------------------
+    def _open_conjuncts(self, rg_meta, names: dict, schema: pa.Schema) -> list | None:
+        """Prune, prove or filter one row group: None when some prune
+        interval misses its statistics, else the residual conjuncts that its
+        statistics leave open. A conjunct is proven when its column is
+        integer, date or timestamp, the chunk has min/max and no null, and
+        the conjunct's own kernel holds on both the min and the max: a
+        comparison with a literal is monotone, so it then holds on every
+        row."""
         for column, lo, hi in self._intervals:
-            idx = names.get(column)
-            if idx is None:
-                continue
-            st = rg_meta.column(idx).statistics
-            if st is None or not st.has_min_max:
-                continue  # no statistics -> cannot prune (conservative)
-            typ = schema.field(column).type
-            if not ex.interval_overlaps(lo, hi, pa.scalar(st.min, typ), pa.scalar(st.max, typ)):
-                return False
-        return True
+            st = _statistics(rg_meta, names, column)
+            if st is not None:  # no statistics -> cannot prune (conservative)
+                stat = _min_max(st, schema, column)[column]
+                if not ex.interval_overlaps(lo, hi, stat[0], stat[1]):
+                    return None
+        open_ = []
+        for p, column in self._conjuncts:
+            st = None if column is None else _statistics(rg_meta, names, column)
+            proven = (
+                st is not None
+                and st.has_null_count
+                and st.null_count == 0
+                and _provable(schema.field(column).type)
+                and pc.all(p.eval(_min_max(st, schema, column))).as_py()
+            )
+            if not proven:
+                open_.append(p)
+        return open_
 
     # -- operator interface ---------------------------------------------------
     def _open(self, bucket: str, key: str) -> tuple[S3RandomAccessFile, "pq.FileMetaData"]:
@@ -107,7 +153,8 @@ class ParquetScanOperator:
         return f, meta
 
     def tables(self) -> Iterator[pa.Table]:
-        """open/next/close: yields one Arrow table per surviving row group."""
+        """open/next/close: yields one Arrow table per surviving row group,
+        filtered by the conjuncts its statistics leave open."""
         for bucket, key in self.files:
             f, meta = self._open(bucket, key)
             # pre_buffer stays off — its range coalescing merges the gaps
@@ -115,19 +162,24 @@ class ParquetScanOperator:
             pf = pq.ParquetFile(f, metadata=meta, pre_buffer=False)
             names = {meta.schema.column(i).name: i for i in range(meta.num_columns)}
             schema = meta.schema.to_arrow_schema()
+            columns = schema.names if self.columns is None else self.columns
             self.metrics.row_groups_total += meta.num_row_groups
             for rg in range(meta.num_row_groups):
                 rg_meta = meta.row_group(rg)
-                if not self._keep_row_group(rg_meta, names, schema):
+                open_ = self._open_conjuncts(rg_meta, names, schema)
+                if open_ is None:
                     continue
                 self.metrics.row_groups_scanned += 1
-                for c in self.columns:
+                for c in columns:
                     if c in names:
                         cm = rg_meta.column(names[c])
                         self.metrics.compressed_bytes += cm.total_compressed_size
                         self.metrics.uncompressed_bytes += cm.total_uncompressed_size
-                tbl = pf.read_row_group(rg, columns=self.columns)
+                tbl = pf.read_row_group(rg, columns=columns, use_threads=False)
                 self.metrics.rows_read += tbl.num_rows
+                if open_:
+                    pred = open_[0] if len(open_) == 1 else ex.And(open_)
+                    tbl = tbl.filter(ex.over_rows(pred, tbl))
                 yield tbl
             f.close()
 
@@ -139,4 +191,6 @@ class ParquetScanOperator:
         if self._schema is None:
             f, _ = self._open(*self.files[0])
             f.close()
+        if self.columns is None:
+            return self._schema.empty_table()
         return pa.schema([self._schema.field(c) for c in self.columns]).empty_table()

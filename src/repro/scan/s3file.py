@@ -22,7 +22,9 @@ class S3RandomAccessFile:
       with one GET and cached (an LRU would bound memory; files here are
       <= a few hundred MB so we keep all fetched chunks),
     * the last ``footer_hint`` bytes are fetched with a single GET on first
-      touch, so Parquet footer + metadata parsing costs one request.
+      touch, so Parquet footer + metadata parsing costs one request; once
+      they are held, a chunk GET ends where they begin, so a scan downloads
+      no byte twice (a cold sequential read still takes one GET per chunk).
     """
 
     def __init__(
@@ -101,6 +103,10 @@ class S3RandomAccessFile:
                 )
             rel = offset - self._footer_start
             return self._footer[rel : rel + (end - offset)]
+        if self._footer is not None and end > self._footer_start:
+            # the footer GET already holds the tail: chunk GETs stop short of it
+            split = self._footer_start
+            return self.read_at(offset, split - offset) + self.read_at(split, end - split)
         first = offset // self._chunk
         last = (end - 1) // self._chunk
         parts = []
@@ -114,7 +120,8 @@ class S3RandomAccessFile:
         data = self._chunks.get(ci)
         if data is None:
             start = ci * self._chunk
-            length = min(self._chunk, self._size - start)
+            limit = self._size if self._footer is None else self._footer_start
+            length = min(self._chunk, limit - start)
             data = self._client.get(self._bucket, self._key, offset=start, length=length)
             self._chunks[ci] = data
         return data

@@ -7,6 +7,7 @@ many tests only inspect their metrics.
 import pytest
 
 from repro.s3.store import S3Store
+from repro.scan.parquet_scan import ParquetScanOperator
 from repro.sim import experiments as X
 
 SF = 0.01
@@ -39,3 +40,20 @@ def mq1(spark, store_root, lineitem_ds):
 def mq6(spark, store_root, lineitem_ds):
     info, _ = lineitem_ds
     return X.measure_query(spark, store_root, info, "q6")
+
+
+@pytest.fixture()
+def scan_decisions(monkeypatch) -> list:
+    """The in-process scans' decisions, one per row group in scan order:
+    None for a pruned row group, else the residual conjuncts its statistics
+    left open (``[]`` when they prove every conjunct)."""
+    seen = []
+    decide = ParquetScanOperator._open_conjuncts
+
+    def spy(self, *args):
+        out = decide(self, *args)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(ParquetScanOperator, "_open_conjuncts", spy)
+    return seen

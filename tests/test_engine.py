@@ -12,10 +12,12 @@ import pyarrow.parquet as pq
 import pytest
 
 from repro import oracle
+from repro.core import compile as qc
 from repro.core import engine, queries
 from repro.core.expr import col, lit
 from repro.core.frontend import Lambada
 from repro.core.plan import AggSpec
+from repro.core.worker import execute_fragment
 from repro.s3.store import S3Store
 
 
@@ -49,6 +51,21 @@ class TestQ1:
         assert bytes_read < mq1.info.total_compressed_bytes
         footer_windows = mq1.result.n_workers * (1 << 14)  # one per file
         assert bytes_read - footer_windows < used_comp * 1.6
+
+    def test_statistics_prove_all_but_the_straddling_row_group(
+        self, store_root, lineitem_ds, scan_decisions
+    ):
+        """At the benchmark's layout (16 files of 2 row groups, sorted by
+        l_shipdate) the last row group lies wholly above the cutoff and is
+        pruned; of the 31 scanned, all but the one that holds the cutoff lie
+        wholly below it, so their statistics prove the filter."""
+        info, _ = lineitem_ds
+        phys = qc.compile_plan(queries.q1(Lambada(store_root).from_files(info.files)).plan)
+        for w, f in enumerate(phys.files):
+            execute_fragment(store_root, w, [f], phys, chunk_bytes=1 << 12, footer_hint=1 << 14)
+        assert len(scan_decisions) == 32
+        assert [d for d in scan_decisions if d is not None].count([]) == 30
+        assert scan_decisions.count(None) == 1
 
     def test_four_aggregate_rows(self, mq1):
         # 3 returnflags x 2 linestatuses with data = 6 groups
@@ -144,6 +161,23 @@ class TestEngineMechanics:
         res = engine.run_query(spark, store_root, q)
         sql = queries.Q1_SQL if kind == "q1" else self.ROWS_SQL
         oracle.assert_equivalent(result_df(res), sql, lineitem=pdf)
+
+    ALL_SQL = {
+        "filtered": "SELECT * FROM lineitem WHERE l_quantity < 3",
+        "unfiltered": "SELECT * FROM lineitem",
+    }
+
+    @pytest.mark.parametrize("kind", ["filtered", "unfiltered"])
+    def test_row_query_returns_every_column(self, spark, store_root, lineitem_ds, kind, result_df):
+        """A query that neither projects nor aggregates returns the table's
+        rows with every column, as ``SELECT *`` does."""
+        info, pdf = lineitem_ds
+        q = Lambada(store_root).from_files(info.files)
+        if kind == "filtered":
+            q = q.filter(col("l_quantity") < 3)
+        res = engine.run_query(spark, store_root, q)
+        assert list(res.result.columns) == list(pdf.columns)
+        oracle.assert_equivalent(result_df(res), self.ALL_SQL[kind], lineitem=pdf)
 
     @pytest.mark.parametrize("name", ["q1", "q6"])
     def test_one_spark_job_with_one_stage(self, spark, store_root, lineitem_ds, name):

@@ -13,7 +13,11 @@ argument selects is code that only tests run, and a value that nothing sets
 is a constant.
 """
 import ast
+import inspect
 from pathlib import Path
+
+import pyarrow as pa
+import pyarrow.parquet as pq
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
@@ -23,6 +27,7 @@ CALLER_DIRS = ("src", "jobs", "benchmarks", "perfbench")
 #: caller in the program's own code.
 ALLOWLIST = {
     ("scan/s3file.py", "S3RandomAccessFile.readable"): "file protocol pyarrow calls by name",
+    ("scan/s3file.py", "S3RandomAccessFile.seek"): "file protocol pyarrow calls by name",
     ("scan/s3file.py", "S3RandomAccessFile.seekable"): "file protocol pyarrow calls by name",
     ("scan/s3file.py", "S3RandomAccessFile.tell"): "file protocol pyarrow calls by name",
     ("scan/s3file.py", "S3RandomAccessFile.writable"): "file protocol pyarrow calls by name",
@@ -271,3 +276,62 @@ def test_arrow_pipeline_imports_no_pandas():
     """One columnar representation from scan to partial state: the scan and
     the worker's pipeline work in Arrow alone."""
     assert pandas_imports() == []
+
+
+#: the code that runs inside one 1792 MiB worker, which has one vCPU
+ONE_THREAD_MODULES = ("scan/", "core/worker.py")
+
+
+def threaded_pyarrow_names() -> set:
+    """Names of the pyarrow functions and methods with a ``use_threads``
+    parameter, read from their signatures."""
+    names = set()
+    for owner in (pa, pq, pa.Table, pa.RecordBatch, pa.ChunkedArray, pq.ParquetFile):
+        for name in dir(owner):
+            obj = getattr(owner, name, None)
+            if name.startswith("_") or not callable(obj):
+                continue
+            try:
+                params = inspect.signature(obj).parameters
+            except (TypeError, ValueError):  # a builtin without a signature
+                continue
+            if "use_threads" in params:
+                names.add(name)
+    return names
+
+
+def threaded_calls() -> list[str]:
+    """``path:line`` of every call in :data:`ONE_THREAD_MODULES` to a name in
+    :func:`threaded_pyarrow_names` that does not pass ``use_threads=False``
+    (calls are matched by name, as the other guards here match them, and
+    methods of literals are not pyarrow's)."""
+    names = threaded_pyarrow_names()
+    bad = []
+    for path, tree in _parsed():
+        if not path.is_relative_to(SRC):
+            continue
+        rel = path.relative_to(SRC).as_posix()
+        if not rel.startswith(ONE_THREAD_MODULES):
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if getattr(func, "id", None) not in names and getattr(func, "attr", None) not in names:
+                continue
+            if isinstance(getattr(func, "value", None), ast.Constant):
+                continue  # a method of a literal, such as ``b"".join``
+            if not any(
+                kw.arg == "use_threads" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+                for kw in node.keywords
+            ):
+                bad.append(f"{rel}:{node.lineno}")
+    return bad
+
+
+def test_worker_pyarrow_calls_use_one_thread():
+    """A worker decodes and aggregates on its own thread: the Fig 4 CPU law
+    gives a 1792 MiB function one vCPU, and the workers of one Spark
+    executor would otherwise share its cores through pyarrow's pool."""
+    assert {"read_row_group", "group_by"} <= threaded_pyarrow_names()
+    assert threaded_calls() == []

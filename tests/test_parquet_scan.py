@@ -2,6 +2,7 @@
 
 Pure pyarrow/pandas (no Spark): files are written straight into the store.
 """
+import datetime
 import io
 
 import duckdb
@@ -165,7 +166,7 @@ class TestPruning:
         con = duckdb.connect()
         try:
             con.register("t", pdf)
-            want = con.execute(f"SELECT x, z FROM t WHERE x BETWEEN z AND {cutoff}").fetchdf()
+            want = con.execute(f"SELECT * FROM t WHERE x BETWEEN z AND {cutoff}").fetchdf()
         finally:
             con.close()
         assert 0 < len(want) < cutoff + 1
@@ -223,3 +224,65 @@ class TestRequestAccounting:
             _read_all(op)
             counts[chunk] = c.ledger.gets
         assert counts[2**12] > counts[2**14]
+
+
+_L = datetime.datetime(1994, 6, 1)  # a microsecond-aligned literal
+_L_NS = int((_L - datetime.datetime(1970, 1, 1)).total_seconds()) * 10**9
+_DAYS = [datetime.date(1994, m, 1) for m in (1, 3, 6, 9)]
+x, y = ex.col("x"), ex.col("y")
+
+
+class TestStatisticsProofs:
+    """A residual conjunct is proven for a row group, and not evaluated on
+    its rows, only when it compares a bare integer, date or timestamp column
+    with a literal and holds on the chunk's min and max, which has no null.
+    Each case is a file of two row groups of two rows, columns ``x`` (the
+    case's) and ``y`` (10, 11, 12, 13); the rows always equal DuckDB's."""
+
+    @pytest.mark.parametrize(
+        "values,pred,where,decisions",
+        [
+            pytest.param([1, 2, 3, 4], x <= 3, "x <= 3", ["proven", "open"], id="int"),
+            pytest.param(
+                pa.array(_DAYS), x <= ex.lit("1994-03-01"), "x <= DATE '1994-03-01'",
+                ["proven", "pruned"], id="date32",
+            ),
+            pytest.param(
+                pa.array(_DAYS).cast(pa.timestamp("ns")), x < ex.lit("1994-07-01"),
+                "x < TIMESTAMP '1994-07-01'", ["proven", "open"], id="timestamp[ns]",
+            ),
+            pytest.param(
+                pa.array([_L_NS - 1000, _L_NS - 1, _L_NS, _L_NS + 500]).cast(pa.timestamp("ns")),
+                x <= ex.lit(_L), "x <= TIMESTAMP '1994-06-01'", ["proven", "open"],
+                id="timestamp[ns]-500ns-past-literal",
+            ),
+            pytest.param([1.0, 2.0, 3.0, 4.0], x <= 5.0, "x <= 5.0", ["open", "open"], id="float"),
+            pytest.param([1, None, 3, 4], x <= 5, "x <= 5", ["open", "proven"], id="null"),
+            pytest.param([5, 5, 5, 6], x.eq(5), "x = 5", ["proven", "open"], id="eq"),
+            pytest.param([1, 3, 4, 5], x < 3, "x < 3", ["open", "pruned"], id="strict-max-equals"),
+            pytest.param([1, 2, 3, 4], ex.lit(3) >= x, "3 >= x", ["proven", "open"], id="literal-left"),
+            pytest.param([1, 2, 3, 4], x <= y, "x <= y", ["open", "open"], id="column-vs-column"),
+        ],
+    )
+    def test_proofs(self, tmp_path, scan_decisions, values, pred, where, decisions):
+        t = pa.table({"x": values, "y": pa.array([10, 11, 12, 13])})
+        store = S3Store(tmp_path)
+        store.create_bucket("d")
+        buf = io.BytesIO()
+        pq.write_table(t, buf, row_group_size=2)
+        store.client().put("d", "t.parquet", buf.getvalue())
+        q = Lambada(str(tmp_path)).from_files([("d", "t.parquet")]).filter(pred)
+        rows, m = execute_fragment(
+            str(tmp_path), 0, [("d", "t.parquet")], qc.compile_plan(q.plan),
+            chunk_bytes=1 << 20, footer_hint=1 << 16,
+        )
+        kinds = {None: "pruned", 0: "proven", 1: "open"}
+        assert [kinds[d if d is None else len(d)] for d in scan_decisions] == decisions
+        con = duckdb.connect()
+        try:
+            con.register("t", t)
+            want = con.execute(f"SELECT * FROM t WHERE {where}").arrow()
+        finally:
+            con.close()
+        assert rows.sort_by("y").to_pylist() == want.sort_by("y").to_pylist()
+        assert m.rows_out == len(want)

@@ -134,7 +134,7 @@ class TestPartialStateProperties:
         aggs.append(pl.AggSpec("count", "count"))
         plan = pl.AggregateNode(pl.ScanNode([("b", "f")]), keys, aggs)
         phys = qc.compile_plan(plan)
-        states = worker.run_pipeline(self.SCHEMA.empty_table(), phys)[0].schema
+        states = worker.run_pipeline(self.SCHEMA.empty_table(), phys).schema
         owner = g.integers(0, n_workers, n)
         partials = pa.concat_tables(
             worker._partial_aggregate(

@@ -1,9 +1,14 @@
 """Chunked random-access file over simulated S3 (scan operator substrate)."""
+import io
 import math
 
+import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 from repro.s3.store import S3Store
+from repro.scan.parquet_scan import ParquetScanOperator
 from repro.scan.s3file import S3RandomAccessFile
 
 SIZE = 300_000
@@ -86,6 +91,45 @@ class TestRequestAccounting:
         f, client, data = blobfile
         assert f.read() == data
         assert client.ledger.gets <= math.ceil((SIZE - FOOTER) / CHUNK) + 1  # + footer
+
+    def test_cold_sequential_read_takes_one_get_per_chunk(self, blobfile):
+        """Fig 7's request counts: with the footer window not yet held, a
+        read takes one GET per chunk, also for the chunks the window covers."""
+        f, client, data = blobfile
+        assert f.read() == data
+        assert client.ledger.gets == math.ceil(SIZE / CHUNK)
+
+    def test_chunk_gets_stop_at_the_held_footer_window(self, blobfile):
+        f, client, data = blobfile
+        f.read_at(SIZE - 8, 8)  # the footer GET
+        assert f.read_at(SIZE - FOOTER - 100, 200) == data[SIZE - FOOTER - 100 : SIZE - FOOTER + 100]
+        assert client.ledger.gets == 2
+        assert client.ledger.bytes_read == FOOTER + (SIZE - FOOTER) % CHUNK
+
+    def test_scan_reads_each_file_byte_at_most_once(self, tmp_path):
+        """A Parquet scan whose last column chunk straddles the footer
+        window downloads that chunk's tail only with the footer GET."""
+        g = np.random.default_rng(5)
+        t = pa.table({c: g.integers(0, 2**40, 5_000) for c in ("a", "b", "c")})
+        buf = io.BytesIO()
+        pq.write_table(t, buf, compression="none")
+        data = buf.getvalue()
+        store = S3Store(tmp_path)
+        store.create_bucket("p")
+        store.client().put("p", "t.parquet", data)
+        meta = pq.read_metadata(io.BytesIO(data))
+        last = meta.row_group(0).column(2)
+        start = last.dictionary_page_offset or last.data_page_offset
+        end = start + last.total_compressed_size
+        footer_hint = len(data) - (start + end) // 2  # the window starts mid-chunk
+        client = store.client()
+        op = ParquetScanOperator(
+            client, [("p", "t.parquet")], columns=t.column_names, chunk_bytes=1 << 12, footer_hint=footer_hint
+        )
+        got = pa.concat_tables(op.tables())
+        assert got.equals(t)
+        assert start < len(data) - footer_hint < end
+        assert client.ledger.bytes_read <= len(data)
 
     def test_smaller_chunks_mean_more_requests(self, tmp_path):
         store = S3Store(tmp_path)
