@@ -75,19 +75,19 @@ def compile_plan(plan: pl.Plan) -> PhysicalQuery:
     if predicates:
         residual = predicates[0] if len(predicates) == 1 else ex.And(predicates)
 
-    # projection push-down: every column any operator touches
+    # projection push-down: every column any operator touches. Filters and
+    # the projection read input columns; the aggregate reads the projection's
+    # outputs where it names them, and input columns otherwise.
     used: frozenset = frozenset()
     for p in predicates:
         used |= p.columns()
     if projections is not None:
         for e in projections.values():
             used |= e.columns()
+    above = frozenset(keys)
     for a in aggs:
-        used |= a.columns()
-    out_names = set(projections or {})
-    used |= {k for k in keys if k not in out_names}
-    # aggregate exprs may reference projected names; those are not scan columns
-    used -= out_names
+        above |= a.columns()
+    used |= above - set(projections or {})
     # rows without a projection keep every column of the table
     scan_columns = None if projections is None and not aggs else sorted(used)
 

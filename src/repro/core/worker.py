@@ -10,9 +10,12 @@ The fragment pipeline is: S3 Parquet scan (with push-downs, and the
 residual filter on each row group whose statistics do not prove it) ->
 projection, evaluated with ``pyarrow.compute`` over the scanned Arrow tables
 (the stand-in for the paper's JiT-compiled pipelines) -> partial
-aggregation, one Arrow group-by over all of the worker's rows. The
-fragment returns an Arrow table: the partial states, or the rows of a query
-without aggregation, typed by this pipeline alone (the driver runs
+aggregation, one Arrow group-by over all of the worker's rows. The scan
+reads the group keys that are string columns as Arrow dictionaries, so the
+group-by hashes small integer indices; the partial aggregation unifies the
+row groups' dictionaries first and casts the keys back to strings after.
+The fragment returns an Arrow table: the partial states, or the rows of a
+query without aggregation, typed by this pipeline alone (the driver runs
 :func:`run_pipeline` over zero typed rows to learn the output schema).
 """
 from __future__ import annotations
@@ -57,26 +60,42 @@ def _project(rows: pa.Table, phys: qc.PhysicalQuery) -> pa.Table:
     return pa.table(out)
 
 
+def _decoded(values):
+    """``values`` with a dictionary type cast to its value type."""
+    if pa.types.is_dictionary(values.type):
+        return values.cast(values.type.value_type)
+    return values
+
+
 def _partial_aggregate(rows: pa.Table, phys: qc.PhysicalQuery) -> pa.Table:
     """Partial aggregation states of one worker's rows: the keys, then the
     :data:`PARTIAL_STATES` of each aggregate in order.
 
-    Each aggregate expression is evaluated once over the whole table, then
-    one Arrow group-by computes every state. A keyless aggregate yields one
-    row even over no rows: its counts are 0 and its other states null.
+    Each aggregate expression is evaluated once over the whole table and
+    decoded when it is a dictionary (Arrow has no min/max over one), then
+    one Arrow group-by computes every state. Dictionary keys are grouped
+    over the unified dictionaries of all row groups and decoded in the
+    output, so the states are typed as over plain columns. A keyless
+    aggregate yields one row even over no rows: its counts are 0 and its
+    other states null.
     """
     cols = {k: rows[k] for k in phys.keys}
     specs = []
     for a in phys.aggs:
         # count(*) reads no column: it counts the entries of a null-free one
-        values = pa.repeat(True, rows.num_rows) if a.expr is None else ex.over_rows(a.expr, rows)
+        if a.expr is None:
+            values = pa.repeat(True, rows.num_rows)
+        else:
+            values = _decoded(ex.over_rows(a.expr, rows))
         for suffix, worker_agg, _ in PARTIAL_STATES[a.fn]:
             name = a.out_name + suffix
             cols[name] = values
             specs.append((name, *worker_agg))
+    grouped = pa.table(cols).unify_dictionaries().group_by(phys.keys, use_threads=False)
+    out = grouped.aggregate(specs)
     # the group-by output puts the keys first, then one column per spec
-    out = pa.table(cols).group_by(phys.keys, use_threads=False).aggregate(specs)
-    return out.rename_columns([*phys.keys, *(s[0] for s in specs)])
+    names = [*phys.keys, *(s[0] for s in specs)]
+    return pa.table(dict(zip(names, map(_decoded, out.columns))))
 
 
 def run_pipeline(rows: pa.Table, phys: qc.PhysicalQuery) -> pa.Table:
@@ -114,6 +133,7 @@ def execute_fragment(
         columns=phys.scan_columns,
         intervals=phys.prune_intervals,
         residual=phys.residual_predicate,
+        dictionary=phys.keys,
         chunk_bytes=chunk_bytes,
         footer_hint=footer_hint,
     )

@@ -106,20 +106,31 @@ class S3Client:
 
     Paths are plain strings and every GET is one ``os.open``/``os.pread``/
     ``os.close``: a scan issues thousands of small ranged GETs, so the
-    request path stays lean. No file descriptor outlives its request."""
+    request path stays lean. GET and HEAD look at the bucket only when the
+    object is missing; PUT and LIST check it first, so a PUT never creates
+    a bucket. No file descriptor outlives its request."""
 
     def __init__(self, root: str | os.PathLike):
         self.root = os.fspath(root)
         self.ledger = Ledger()
 
     # -- helpers ---------------------------------------------------------
-    def _path(self, bucket: str, key: str) -> str:
+    def _bucket(self, bucket: str) -> str:
         base = os.path.join(self.root, bucket)
         if not os.path.isdir(base):
             raise NoSuchBucket(bucket)
+        return base
+
+    def _path(self, bucket: str, key: str) -> str:
         if not _KEY_RE.match(key) or ".." in key:
             raise ValueError(f"invalid key {key!r}")
-        return os.path.join(base, key)
+        return os.path.join(self.root, bucket, key)
+
+    def _missing(self, bucket: str, key: str) -> KeyError:
+        """The error for an object that is not there: its bucket's or its own."""
+        if not os.path.isdir(os.path.join(self.root, bucket)):
+            return NoSuchBucket(bucket)
+        return NoSuchKey(f"{bucket}/{key}")
 
     # -- requests --------------------------------------------------------
     def put(self, bucket: str, key: str, data: bytes) -> None:
@@ -127,6 +138,7 @@ class S3Client:
         temporary file, so a key is listed only once its object is complete.
         The exchange runner relies on both: a LIST of a group prefix finds
         every sender's key, and each listed key reads back in full."""
+        self._bucket(bucket)
         path = self._path(bucket, key)
         parent = os.path.dirname(path)
         os.makedirs(parent, exist_ok=True)
@@ -147,7 +159,7 @@ class S3Client:
         try:
             fd = os.open(path, os.O_RDONLY)
         except FileNotFoundError:
-            raise NoSuchKey(f"{bucket}/{key}") from None
+            raise self._missing(bucket, key) from None
         try:
             if length is None:
                 length = max(0, os.fstat(fd).st_size - offset)
@@ -163,15 +175,13 @@ class S3Client:
         try:
             size = os.stat(path).st_size
         except FileNotFoundError:
-            raise NoSuchKey(f"{bucket}/{key}") from None
+            raise self._missing(bucket, key) from None
         self.ledger.record("heads", bucket)
         return size
 
     def list(self, bucket: str, prefix: str = "") -> list[str]:
         """LIST keys under a prefix (sorted, as S3 returns them)."""
-        base = Path(self.root, bucket)
-        if not base.is_dir():
-            raise NoSuchBucket(bucket)
+        base = Path(self._bucket(bucket))
         keys = []
         for p in base.rglob("*"):
             if p.is_file() and not p.name.startswith(".tmp-"):

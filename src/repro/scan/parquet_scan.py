@@ -17,7 +17,13 @@ relies on:
 
 Each row group decodes on the calling thread: a worker is a 1792 MiB
 function, which the Fig 4 CPU law gives one vCPU, and several workers share
-the cores of one Spark executor.
+the cores of one Spark executor. The ``dictionary`` columns that are string
+columns in a file (a worker passes its query's group keys; pyarrow reads
+only BYTE_ARRAY columns so) are read as Arrow dictionaries: decoding and
+hashing a few distinct values per row group costs a fraction of building and
+hashing one string per row. Each row group has its own dictionary, so a
+consumer that needs one unifies them; the typed empty result keeps the
+file's own string types.
 
 The operator exposes the open/next/close interface as an iterator of Arrow
 tables (one per surviving row group, its residual applied). It counts row
@@ -88,6 +94,7 @@ class ParquetScanOperator:
         columns: Sequence[str] | None,
         intervals: Sequence[tuple] = (),
         residual: ex.Pred | None = None,
+        dictionary: Sequence[str] = (),
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
         footer_hint: int = DEFAULT_FOOTER_HINT,
     ):
@@ -99,6 +106,7 @@ class ParquetScanOperator:
         self.metrics = WorkerMetrics(worker_id=-1)  # a worker sets its own
         self._schema: pa.Schema | None = None  # cached from the first footer
         self._intervals = list(intervals)
+        self._dictionary = list(dictionary)
         # each residual conjunct, with the column whose statistics may prove
         # it: that of a bare column-vs-literal comparison, else None
         self._conjuncts = []
@@ -157,11 +165,15 @@ class ParquetScanOperator:
         filtered by the conjuncts its statistics leave open."""
         for bucket, key in self.files:
             f, meta = self._open(bucket, key)
+            schema = meta.schema.to_arrow_schema()
+            dictionary = [
+                c for c in self._dictionary
+                if c in schema.names and pa.types.is_string(schema.field(c).type)
+            ]
             # pre_buffer stays off — its range coalescing merges the gaps
             # between column chunks and would re-download pruned-out columns.
-            pf = pq.ParquetFile(f, metadata=meta, pre_buffer=False)
+            pf = pq.ParquetFile(f, metadata=meta, pre_buffer=False, read_dictionary=dictionary)
             names = {meta.schema.column(i).name: i for i in range(meta.num_columns)}
-            schema = meta.schema.to_arrow_schema()
             columns = schema.names if self.columns is None else self.columns
             self.metrics.row_groups_total += meta.num_row_groups
             for rg in range(meta.num_row_groups):

@@ -6,6 +6,7 @@ import io
 import uuid
 from pathlib import Path
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -445,3 +446,117 @@ class TestNulls:
         ledger = res.metrics.total_ledger
         assert (ledger.heads, ledger.gets) == (len(files), len(files))
         assert ledger.bytes_read <= len(files) * footer_hint
+
+
+class TestProjectionReusingAnInputName:
+    """A projection may name its output like the input column it reads:
+    the scan still reads that input."""
+
+    @pytest.mark.parametrize("keys", [[], ["l_returnflag"]], ids=["keyless", "grouped"])
+    def test_matches_duckdb(self, spark, store_root, lineitem_ds, keys, result_df):
+        info, pdf = lineitem_ds
+        q = (
+            Lambada(store_root)
+            .from_files(info.files)
+            .map(l_tax=col("l_tax") * 2)
+            .aggregate(keys=keys, aggs=[AggSpec("s", "sum", col("l_tax"))])
+        )
+        res = engine.run_query(spark, store_root, q, files_per_worker=4)
+        select = "".join(f"{k}, " for k in keys)
+        group = "".join(f" GROUP BY {k}" for k in keys)
+        sql = f"SELECT {select}sum(l_tax) AS s FROM (SELECT {select}l_tax * 2 AS l_tax FROM lineitem){group}"
+        oracle.assert_equivalent(result_df(res), sql, lineitem=pdf)
+
+
+class TestDictionaryKeys:
+    """String group keys are read as Arrow dictionaries, one per row group,
+    and grouped over their unified dictionaries: results equal DuckDB's on
+    keys with nulls, per-row-group and per-file dictionaries, keys the
+    filter reads, aggregates of a key, and pruned workers."""
+
+    N_FILES, ROWS_PER_FILE, ROW_GROUP = 4, 12, 6
+
+    @pytest.fixture(scope="class")
+    def keyed(self, tmp_path_factory):
+        """(store root, files, table): ``i`` is sorted, ``k`` draws each row
+        group's values from its own three letters and has nulls, ``j`` is a
+        second string column and ``g`` a small integer key."""
+        g = np.random.default_rng(11)
+        n = self.N_FILES * self.ROWS_PER_FILE
+        letters = "abcdefgh"
+        k = []
+        for rg in range(n // self.ROW_GROUP):
+            alphabet = list(letters[rg % 6 : rg % 6 + 3]) + [None]
+            k += [alphabet[x] for x in g.integers(0, 4, self.ROW_GROUP)]
+        table = pa.table(
+            {
+                "i": pa.array(np.arange(n), pa.int64()),
+                "k": pa.array(k, pa.string()),
+                "j": pa.array(g.choice(list(letters), n), pa.string()),
+                "g": pa.array(g.integers(0, 3, n), pa.int64()),
+                "v": pa.array(g.integers(0, 100, n), pa.int64()),
+            }
+        )
+        root = str(tmp_path_factory.mktemp("keystore"))
+        store = S3Store(root)
+        store.create_bucket("keys")
+        files = []
+        for f in range(self.N_FILES):
+            buf = io.BytesIO()
+            part = table.slice(f * self.ROWS_PER_FILE, self.ROWS_PER_FILE)
+            pq.write_table(part, buf, row_group_size=self.ROW_GROUP)
+            store.client().put("keys", f"t{f}.parquet", buf.getvalue())
+            files.append(("keys", f"t{f}.parquet"))
+        return root, files, table
+
+    AGGS = {
+        "n": ("count", None),
+        "s": ("sum", "v"),
+        "lo": ("min", "v"),
+        "hi": ("max", "v"),
+        "mean": ("avg", "v"),
+    }
+
+    def _check(self, spark, keyed, result_df, keys, aggs, where=None, sql_where="", fpw=1):
+        root, files, table = keyed
+        q = Lambada(root).from_files(files)
+        if where is not None:
+            q = q.filter(where)
+        q = q.aggregate(
+            keys=keys,
+            aggs=[AggSpec(name, fn, None if c is None else col(c)) for name, (fn, c) in aggs.items()],
+        )
+        res = engine.run_query(spark, root, q, files_per_worker=fpw)
+        select = ", ".join(
+            [*keys, *(f"{fn}({c or '*'}) AS {name}" for name, (fn, c) in aggs.items())]
+        )
+        group = f" GROUP BY {', '.join(keys)}" if keys else ""
+        oracle.assert_equivalent(result_df(res), f"SELECT {select} FROM t{sql_where}{group}", t=table)
+        return res
+
+    @pytest.mark.parametrize("fpw", [1, 2], ids=["file-per-worker", "two-files-per-worker"])
+    def test_null_keys_and_differing_dictionaries(self, spark, keyed, result_df, fpw):
+        res = self._check(spark, keyed, result_df, ["k"], self.AGGS, fpw=fpw)
+        assert res.result["k"].isna().any()
+        assert res.result["k"].map(type).isin([str, type(None)]).all()
+
+    @pytest.mark.parametrize(
+        "where,sql_where",
+        [(col("k") >= "c", " WHERE k >= 'c'"), (col("k") < col("j"), " WHERE k < j")],
+        ids=["key-vs-literal", "key-vs-column"],
+    )
+    def test_filter_reads_the_key(self, spark, keyed, result_df, where, sql_where):
+        self._check(spark, keyed, result_df, ["k"], self.AGGS, where, sql_where, fpw=2)
+
+    def test_aggregates_of_the_key(self, spark, keyed, result_df):
+        aggs = {"lo": ("min", "k"), "hi": ("max", "k"), "n": ("count", "k")}
+        self._check(spark, keyed, result_df, ["k"], aggs, fpw=2)
+
+    def test_pruned_workers_beside_scanning_ones(self, spark, keyed, result_df):
+        res = self._check(spark, keyed, result_df, ["k"], self.AGGS, col("i") >= 30, " WHERE i >= 30")
+        scanned = [w.row_groups_scanned for w in res.metrics.workers]
+        assert 0 in scanned and max(scanned) > 0
+
+    def test_integer_and_string_keys(self, spark, keyed, result_df):
+        res = self._check(spark, keyed, result_df, ["g", "k"], self.AGGS, fpw=2)
+        assert res.result["g"].dtype == "int64"

@@ -16,7 +16,8 @@ from repro import oracle
 from repro.core import compile as qc
 from repro.core import expr as ex
 from repro.core.frontend import Lambada
-from repro.core.worker import execute_fragment
+from repro.core.plan import AggSpec
+from repro.core.worker import execute_fragment, run_pipeline
 from repro.s3.store import S3Store
 from repro.scan.parquet_scan import ParquetScanOperator
 
@@ -114,6 +115,42 @@ class TestCorrectness:
         assert out.num_rows == 0 and out.schema.names == ["z"]
         assert (client.ledger.heads, client.ledger.gets) == (1, 1)
         assert client.ledger.bytes_read <= 1 << 14
+
+    def test_string_keys_read_as_dictionaries(self, scan_env, monkeypatch):
+        """Of the ``dictionary`` columns, the scan reads the string ones as
+        Arrow dictionaries and the integer ones as they are: pyarrow reads
+        only BYTE_ARRAY columns as dictionaries (asked to read a ``date32``
+        one so, pyarrow 16 sometimes aborts the process at exit). The typed
+        empty table keeps the file's string type, the fragment's pipeline
+        over it types the keys as strings, and so does the fragment over the
+        rows."""
+        store, files, pdf = scan_env
+        asked, open_file = [], pq.ParquetFile
+
+        def spy(*args, read_dictionary, **kwargs):
+            asked.append(read_dictionary)
+            return open_file(*args, read_dictionary=read_dictionary, **kwargs)
+
+        monkeypatch.setattr(pq, "ParquetFile", spy)
+        op = ParquetScanOperator(store.client(), files, columns=["tag", "x", "y"], dictionary=["tag", "x"])
+        tables = list(op.tables())
+        assert asked == [["tag"]] * N_FILES
+        for t in tables:
+            assert t.schema.field("tag").type == pa.dictionary(pa.int32(), pa.string())
+            assert t.schema.field("x").type == pa.int64()
+        got = pa.concat_tables(tables).to_pandas()
+        assert got["tag"].astype(str).tolist() == pdf["tag"].tolist()
+        empty = op.empty_table()
+        assert empty.schema.field("tag").type == pa.string()
+        q = Lambada(str(store.root)).from_files(files).aggregate(
+            ["tag", "x"], [AggSpec("m", "max", ex.col("tag")), AggSpec("s", "sum", ex.col("y"))]
+        )
+        phys = qc.compile_plan(q.plan)
+        out = run_pipeline(empty, phys)
+        assert out.schema.field("tag").type == pa.string()
+        assert out.schema.field("m").type == pa.string()
+        rows, _ = execute_fragment(str(store.root), 0, files, phys, chunk_bytes=1 << 20, footer_hint=1 << 16)
+        assert rows.schema == out.schema
 
     def test_empty_table_has_schema(self, scan_env):
         store, files, _ = scan_env

@@ -131,6 +131,13 @@ class TestPushdowns:
         phys = qc.compile_plan(q.plan)
         assert phys.scan_columns == ["a", "b"]
 
+    def test_projection_reusing_an_input_name_still_reads_it(self):
+        """``a`` names both an input the projection reads and the output the
+        aggregate reads: the scan reads the input."""
+        q = source().map(a=col("a") * 2).aggregate(["k"], [pl.AggSpec("s", "sum", col("a"))])
+        phys = qc.compile_plan(q.plan)
+        assert phys.scan_columns == ["a", "k"]
+
 
 class TestPartialSchema:
     """The worker's output columns, as its own pipeline emits them over

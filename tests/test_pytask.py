@@ -1,9 +1,11 @@
 """Spark task start-up: ``pytask.task`` makes a worker process re-read its
-import archives only when they change, and leaves the driver as it is.
+import archives only when they change and freezes its imported heap, and
+leaves the driver as it is.
 
 The invalidation itself is checked in a fresh interpreter, so this pytest
 process is never patched; the Spark test counts archive reads rather than
 timing tasks."""
+import gc
 import json
 import subprocess
 import sys
@@ -110,7 +112,34 @@ def test_reused_worker_reads_archives_once(spark):
         assert c == [0] * len(c), (pid, c)
 
 
+def test_worker_processes_freeze_their_heap(spark, mq1):
+    """Every worker process froze what pyspark, pyarrow, pandas and the
+    tasks' modules built: the daemon's ``gc.collect()`` after each task
+    traverses only the few objects left tracked. Unfrozen, a worker tracks
+    ~75k objects after a query, and ~30k when only pandas is left out of the
+    freeze. It froze once: an object a task keeps for the next one is still
+    tracked there (``gc.get_objects`` leaves frozen objects out)."""
+
+    def probe(p):
+        import os
+
+        kept = getattr(gc, "_kept_by_probe", None)
+        refrozen = kept is not None and not any(o is kept for o in gc.get_objects())
+        gc._kept_by_probe = [p]
+        counts = [os.getpid(), gc.get_freeze_count(), len(gc.get_objects()), refrozen]
+        yield pa.RecordBatch.from_arrays(
+            [pa.array([c]) for c in counts], ["pid", "frozen", "tracked", "refrozen"]
+        )
+
+    for _ in range(3):
+        schema = "pid long, frozen long, tracked long, refrozen boolean"
+        for row in pytask.run_on_workers(spark, 8, probe, schema).collect():
+            assert row.frozen > 0 and row.tracked * 10 < row.frozen, row
+            assert not row.refrozen, row
+
+
 def test_driver_is_not_patched(mq1):
     assert mq1.result.n_workers == 16  # the query ran its wrapped tasks
     assert zipimport.zipimporter.invalidate_caches is pytask._EAGER
     assert pytask._EAGER.__module__ == "zipimport"
+    assert gc.get_freeze_count() == 0

@@ -99,6 +99,27 @@ class TestListHeadDelete:
         c.put("b0", "k", b"12345")
         assert c.head("b0", "k") == 5
 
+    @pytest.mark.parametrize("op", ["get", "head"])
+    @pytest.mark.parametrize(
+        "bucket,key,error",
+        [("zzz", "k", NoSuchBucket), ("b0", "nope", NoSuchKey), ("b0", "../x", ValueError)],
+        ids=["missing-bucket", "missing-key", "invalid-key"],
+    )
+    def test_failed_read_names_its_cause_and_bills_nothing(self, s3, op, bucket, key, error):
+        """GET and HEAD look at the bucket only once the object is missing,
+        and still tell a missing bucket from a missing key."""
+        c = s3.client()
+        with pytest.raises(error):
+            getattr(c, op)(bucket, key)
+        assert c.ledger.requests == 0
+
+    def test_put_never_creates_a_bucket(self, s3, tmp_path):
+        c = s3.client()
+        with pytest.raises(NoSuchBucket):
+            c.put("zzz", "k", b"x")
+        assert not (tmp_path / "zzz").exists()
+        assert c.ledger.requests == 0
+
 
 class TestLedger:
     def test_counts_every_request_kind(self, s3):
