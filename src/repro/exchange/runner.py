@@ -11,35 +11,33 @@ A record's partition ID is Spark's ``pmod(xxhash64(k), P)`` of its key
 ``k``, bit for bit (:func:`partition_ids`). The workers compute it where they
 need it, from the key; no phase stores it.
 
+Every phase is a :func:`repro.pytask.run_on_workers` job over the worker
+IDs (``spark.range(P).mapInArrow``, so workers without rows run too), whose
+tasks :func:`repro.pytask.task` wraps.
 Phases for a k-level exchange:
 
-  0. *distribute* (``mapInArrow`` splitting each task's rows by source
-     worker ``src``, then ``groupBy(src).applyInArrow``): each source worker
-     writes its input share R_p ("in/w{p}"), the input rows and nothing else.
-     The source worker is ``partition_ids(k, P, seed=crc32(run_id))``, a hash
-     of the key seeded by the run ID;
-  1..k. *level l* (``spark.range(P).mapInArrow``, so empty workers run too):
-     every worker reads the level-(l-1) files addressed to it (or its input
-     share), splits the rows by the level-l coordinate of their partition ID,
-     and writes one file per group member (or one combined file under write
-     combining — offsets in the key, discovered via LIST);
+  0. *distribute*: the driver reads the input once as an Arrow table
+     (``DataFrame.toArrow``) and broadcasts it; source worker p stores the
+     contiguous slice of rows ``[p*n//P, (p+1)*n//P)`` as its input share
+     R_p ("in/w{p}"), the input rows and nothing else. An empty share is not
+     stored. The input must therefore fit in the driver;
+  1..k. *level l*: every worker reads the level-(l-1) files addressed to it
+     (or its input share), splits the rows by the level-l coordinate of their
+     partition ID, and writes one file per group member (or one combined file
+     under write combining — offsets in the key, discovered via LIST);
   k+1. *collect*: every worker reads its final files and returns the rows
      with their partition ID and its worker ID, which must be equal.
 
 Workers add their request ledgers to one Spark accumulator per phase, so the
-ledgers return with the phase's job; the input-share reads use their own
-client. The driver snapshots them into an :class:`ExchangeReport`, which
-tests assert equals :func:`algorithms.expected_requests` exactly. Every
-phase's task functions are wrapped by :func:`repro.pytask.task`, so a reused
-Python worker does not re-read its import archives before every phase; the
-level and collect phases are :func:`repro.pytask.run_on_workers` jobs.
+ledgers return with the phase's job; the input-share writes and reads use
+clients of their own. The driver snapshots them into an :class:`ExchangeReport`,
+which tests assert equals :func:`algorithms.expected_requests` exactly.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
 import uuid
-import zlib
 
 import numpy as np
 import pyarrow as pa
@@ -49,7 +47,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.pandas.types import to_arrow_schema
 from pyspark.sql.types import IntegerType, LongType, StructField, StructType
 
-from ..pytask import run_on_workers, task
+from ..pytask import run_on_workers
 from ..s3.store import Ledger, NoSuchKey, S3Client, S3Store
 from . import algorithms as alg
 from . import naming, serde
@@ -59,9 +57,6 @@ KEY = "k"
 #: what the distribute and level phases return: rows handled per worker
 _COUNTS_DDL = "worker int, rows long"
 _COUNTS = pa.schema([("worker", pa.int32()), ("rows", pa.int64())])
-#: what the distribute phase shuffles: one part of an input share
-_PARTS_DDL = "src int, part binary"
-_PARTS = pa.schema([("src", pa.int32()), ("part", pa.binary())])
 
 
 # XXH64's primes, as unsigned 64-bit integers
@@ -75,19 +70,21 @@ _P1, _P2, _P3, _P4, _P5 = (
         0x27D4EB2F165667C5,
     )
 )
+#: the seed of Spark's ``xxhash64``, which is also the hash of a null
+_SEED = np.uint64(42)
 
 
 def _rotl(x: np.ndarray, r: int) -> np.ndarray:
     return (x << np.uint64(r)) | (x >> np.uint64(64 - r))
 
 
-def partition_ids(keys, n: int, seed: int = 42) -> np.ndarray:
+def partition_ids(keys, n: int) -> np.ndarray:
     """``pmod(xxhash64(k), n)`` of int64 ``keys`` (an Arrow array or chunked
-    array) as int32; a null key hashes to ``seed``. With the default seed it
-    equals Spark's expression bit for bit: it ports ``XXH64.hashLong``, with
-    numpy's uint64 arithmetic wrapping as Java's long does."""
+    array) as int32, equal to Spark's expression bit for bit: it ports
+    ``XXH64.hashLong`` with Spark's seed, with numpy's uint64 arithmetic
+    wrapping as Java's long does. A null key hashes to the seed."""
     x = pc.fill_null(keys, 0).to_numpy().view(np.uint64)
-    h = np.uint64(seed) + _P5 + np.uint64(8)
+    h = _SEED + _P5 + np.uint64(8)
     h = h ^ (_rotl(x * _P2, 31) * _P1)
     h = _rotl(h, 27) * _P1 + _P4
     h ^= h >> np.uint64(33)
@@ -96,7 +93,7 @@ def partition_ids(keys, n: int, seed: int = 42) -> np.ndarray:
     h *= _P3
     h ^= h >> np.uint64(32)
     if keys.null_count:
-        h[pc.is_null(keys).to_numpy(zero_copy_only=False)] = seed
+        h[pc.is_null(keys).to_numpy(zero_copy_only=False)] = _SEED
     return np.mod(h.view(np.int64), n).astype(np.int32)
 
 
@@ -203,6 +200,10 @@ def run_exchange(
     ``k`` (column :data:`KEY`), Spark's own expression, computed by
     :func:`partition_ids` wherever a worker needs it rather than stored.
 
+    ``df`` is read once, whole, into the driver (``toArrow``), and source
+    worker p starts from the p-th contiguous slice of its rows, so the input
+    must fit in the driver. Nothing else of ``df`` but its schema is used.
+
     Returns the collected output (the input columns, then ``pid`` and
     ``worker``, which must agree) and the request accounting. The output is
     cached; the caller owns it and should ``unpersist()`` it when done. The
@@ -210,7 +211,8 @@ def run_exchange(
     does not change it. Raises ``TypeError`` before any Spark job when
     :data:`KEY` is not a bigint column.
     """
-    key_type = df.schema[KEY].dataType
+    schema = df.schema
+    key_type = schema[KEY].dataType
     if not isinstance(key_type, LongType):
         raise TypeError(f"exchange key {KEY!r} must be bigint, not {key_type.simpleString()}")
     run_id = run_id or uuid.uuid4().hex[:8]
@@ -225,9 +227,9 @@ def run_exchange(
 
     # Workers without rows still exchange typed empty tables. Spark converts
     # an empty frame of the payload schema for them; no job runs over df.
-    empty = spark.createDataFrame(sc.emptyRDD(), df.schema).toPandas()
+    empty = spark.createDataFrame(sc.emptyRDD(), schema).toPandas()
     template = pa.Table.from_pandas(
-        empty, schema=to_arrow_schema(df.schema), preserve_index=False
+        empty, schema=to_arrow_schema(schema), preserve_index=False
     ).replace_schema_metadata()
     in_bucket = naming.bucket_for_group(0, spec.n_buckets)
 
@@ -236,29 +238,26 @@ def run_exchange(
         return pa.concat_tables(tables) if tables else template
 
     # ---- phase 0: distribute input shares (the relation R of Algorithm 1).
-    # Each task splits its rows by source worker and hands Spark's shuffle
-    # one Arrow IPC part per source, not rows; the source worker joins them.
-    src_seed = zlib.crc32(run_id.encode())
+    # toArrow runs the query Spark already planned for df; any plan stacked
+    # on a local relation would be optimised again, rows and all.
+    relation = sc.broadcast(df.toArrow())
 
-    @task
-    def _parts(batches):
-        rows = pa.Table.from_batches(batches, schema=template.schema)
-        src = partition_ids(rows[KEY], n_workers, seed=src_seed)
-        for p, part in enumerate(_split(rows, src, n_workers)):
-            if part.num_rows:
-                yield pa.record_batch([[p], [serde.frame_to_bytes(part)]], schema=_PARTS)
+    def _distribute(p):
+        table = relation.value
+        n = table.num_rows
+        lo, hi = p * n // n_workers, (p + 1) * n // n_workers
+        share = table.slice(lo, hi - lo).combine_chunks()
+        if share.num_rows:
+            client = S3Client(root)
+            client.put(in_bucket, naming.input_key(run_id, p), serde.frame_to_bytes(share))
+            input_acc.add(client.ledger)
+        yield _count(p, share)
 
-    @task
-    def _distribute(parts):
-        p = parts["src"][0].as_py()
-        share = pa.concat_tables(serde.bytes_to_frame(b.as_py()) for b in parts["part"])
-        client = S3Client(root)
-        client.put(in_bucket, naming.input_key(run_id, p), serde.frame_to_bytes(share))
-        input_acc.add(client.ledger)
-        return pa.Table.from_batches([_count(p, share)])
-
-    shares = df.mapInArrow(_parts, _PARTS_DDL).groupBy("src")
-    n_in = sum(r.rows for r in shares.applyInArrow(_distribute, _COUNTS_DDL).collect())
+    try:
+        counts = run_on_workers(spark, n_workers, _distribute, _COUNTS_DDL)
+        n_in = sum(r.rows for r in counts.collect())
+    finally:
+        relation.destroy()
 
     # ---- level phases: read previous, partition, write this level
     def _level_phase(level):
@@ -296,7 +295,7 @@ def run_exchange(
         yield from rows.append_column("worker", worker).to_batches()
 
     out_schema = StructType(
-        df.schema.fields + [StructField("pid", IntegerType()), StructField("worker", IntegerType())]
+        schema.fields + [StructField("pid", IntegerType()), StructField("worker", IntegerType())]
     )
     out = run_on_workers(spark, n_workers, _collect, out_schema).cache()
     n_out = out.count()

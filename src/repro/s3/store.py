@@ -22,9 +22,16 @@ import tempfile
 import uuid
 from pathlib import Path
 
-#: Keys must be safe to use as relative filesystem paths.
-_KEY_RE = re.compile(r"^[A-Za-z0-9._:,=+-][A-Za-z0-9._:,=+/-]*$")
-_BUCKET_RE = re.compile(r"^[a-z0-9][a-z0-9.-]{0,62}$")
+#: Keys and bucket names must be safe to use as relative filesystem paths.
+#: Both are matched whole (``fullmatch``: ``$`` would accept a final newline);
+#: a bucket name is one path component that cannot be ``.`` or ``..``.
+_KEY_RE = re.compile(r"[A-Za-z0-9._:,=+-][A-Za-z0-9._:,=+/-]*")
+_BUCKET_RE = re.compile(r"[a-z0-9][a-z0-9.-]{0,62}")
+
+
+def _check_bucket(name: str) -> None:
+    if not _BUCKET_RE.fullmatch(name):
+        raise ValueError(f"invalid bucket name {name!r}")
 
 
 class NoSuchKey(KeyError):
@@ -92,8 +99,7 @@ class S3Store:
 
     def create_bucket(self, name: str) -> None:
         """Buckets are created at installation time (paper §4.4.1) — free."""
-        if not _BUCKET_RE.match(name):
-            raise ValueError(f"invalid bucket name {name!r}")
+        _check_bucket(name)
         (self.root / name).mkdir(exist_ok=True)
 
     def client(self) -> "S3Client":
@@ -106,9 +112,11 @@ class S3Client:
 
     Paths are plain strings and every GET is one ``os.open``/``os.pread``/
     ``os.close``: a scan issues thousands of small ranged GETs, so the
-    request path stays lean. GET and HEAD look at the bucket only when the
-    object is missing; PUT and LIST check it first, so a PUT never creates
-    a bucket. No file descriptor outlives its request."""
+    request path stays lean. Every request checks the bucket's and the
+    key's names first, so none reaches outside its bucket. GET and HEAD look
+    at the bucket itself only when the object is missing; PUT and LIST check
+    that it exists first, so a PUT never creates a bucket. No file
+    descriptor outlives its request."""
 
     def __init__(self, root: str | os.PathLike):
         self.root = os.fspath(root)
@@ -116,13 +124,15 @@ class S3Client:
 
     # -- helpers ---------------------------------------------------------
     def _bucket(self, bucket: str) -> str:
+        _check_bucket(bucket)
         base = os.path.join(self.root, bucket)
         if not os.path.isdir(base):
             raise NoSuchBucket(bucket)
         return base
 
     def _path(self, bucket: str, key: str) -> str:
-        if not _KEY_RE.match(key) or ".." in key:
+        _check_bucket(bucket)
+        if not _KEY_RE.fullmatch(key) or ".." in key:
             raise ValueError(f"invalid key {key!r}")
         return os.path.join(self.root, bucket, key)
 

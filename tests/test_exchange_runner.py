@@ -6,17 +6,20 @@ and (c) issue exactly the request counts of `algorithms.expected_requests`
 (which tie to Table 2).
 """
 import copy
+import functools
+import os
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+from pyspark import SparkContext
 from pyspark.sql import functions as F
 
 from repro import synth_data
 from repro.exchange import algorithms as alg
-from repro.exchange import naming, runner, serde
-from repro.s3.store import S3Store
+from repro.exchange import naming, runner
+from repro.s3.store import Ledger, S3Store
 
 try:  # the class that runs the actions, as the benchmark's tracing wraps it
     from pyspark.sql.classic.dataframe import DataFrame
@@ -51,6 +54,13 @@ def _run(spark, xinput, xstore, spec, P):
     pdf = out.withColumn("spark_pid", F.pmod(F.xxhash64("k"), F.lit(P)).cast("int")).toPandas()
     out.unpersist()
     return pdf, rep, in_pdf
+
+
+def _assert_exact(rep, P, spec):
+    """The exchange ledger is ``expected_requests``, request for request."""
+    exp = alg.expected_requests(P, spec)
+    got = {k: getattr(rep.ledger, k) for k in ("puts", "gets", "lists", "heads", "deletes")}
+    assert got == {k: exp[k] for k in ("puts", "gets", "lists")} | {"heads": 0, "deletes": 0}
 
 
 def _input_shares(store, spec, run_id):
@@ -137,17 +147,24 @@ class TestDetails:
         assert rep.input_ledger.puts == rep.input_ledger.gets == len(shares)
 
     def test_input_shares_are_the_input_rows(self, spark, xinput, tmp_path):
-        """The source workers' shares R_p hold the input rows as they are:
-        no derived column is stored."""
-        spec = alg.ExchangeSpec(2, True)
+        """Source worker p stores rows ``[p*n//P, (p+1)*n//P)`` of the input
+        as they are: in order, in one record batch, no derived column."""
+        spec, P = alg.ExchangeSpec(2, True), 16
         store = S3Store(tmp_path)
-        out, _ = runner.run_exchange(spark, xinput[0], 16, spec, store, run_id="r")
+        out, _ = runner.run_exchange(spark, xinput[0], P, spec, store, run_id="r")
         out.unpersist()
-        shares = pa.concat_tables(serde.bytes_to_frame(b) for b in _input_shares(store, spec, "r"))
-        assert shares.schema.names == ["k", "v"]
-        a = shares.to_pandas().sort_values(["k", "v"]).reset_index(drop=True)
-        b = xinput[1].sort_values(["k", "v"]).reset_index(drop=True)
-        pd.testing.assert_frame_equal(a, b)
+        rows = xinput[0].toArrow()
+        n = rows.num_rows
+        client = store.client()
+        bucket = naming.bucket_for_group(0, spec.n_buckets)
+        for p in range(P):
+            lo, hi = p * n // P, (p + 1) * n // P
+            with pa.ipc.open_stream(client.get(bucket, naming.input_key("r", p))) as r:
+                batches = list(r)
+            assert len(batches) == 1
+            share = pa.Table.from_batches(batches)
+            assert share.schema.names == ["k", "v"]
+            assert share.equals(rows.slice(lo, hi - lo))
 
     def test_single_worker_degenerate(self, spark, xinput, xstore):
         out, rep, in_pdf = _run(spark, xinput, xstore, alg.ExchangeSpec(1, True), 1)
@@ -168,10 +185,11 @@ class TestDetails:
 
 class TestCallPattern:
     def test_four_actions_and_one_topandas(self, spark, xinput, tmp_path, monkeypatch):
-        """Four barriered actions (distribute, two levels, collect) and one
-        ``toPandas`` for the empty-share template, counted in the driver."""
+        """Four barriered actions (distribute, two levels, collect), one
+        ``toPandas`` for the empty-share template and one ``toArrow`` that
+        reads the input, counted in the driver."""
         calls = []
-        for name in ("collect", "count", "toPandas"):
+        for name in ("collect", "count", "toPandas", "toArrow"):
             orig = getattr(DataFrame, name)
 
             def wrapped(self, *a, _orig=orig, _name=name, **kw):
@@ -183,7 +201,57 @@ class TestCallPattern:
         out, _ = runner.run_exchange(spark, xinput[0], 16, spec, S3Store(tmp_path))
         monkeypatch.undo()
         out.unpersist()
-        assert calls == ["toPandas", "collect", "collect", "collect", "count"]
+        assert calls == ["toPandas", "toArrow", "collect", "collect", "collect", "count"]
+
+    def test_input_read_once(self, spark, xinput, tmp_path):
+        """Of the input, only its schema and one ``toArrow()`` are used."""
+
+        class Recorder:
+            def __init__(self, df):
+                self.df, self.used = df, []
+
+            def __getattr__(self, name):
+                self.used.append(name)
+                return getattr(self.df, name)
+
+        df = Recorder(xinput[0])
+        out, rep = runner.run_exchange(spark, df, 16, alg.ExchangeSpec(2, True), S3Store(tmp_path))
+        out.unpersist()
+        assert set(df.used) == {"schema", "toArrow"}
+        assert df.used.count("toArrow") == 1
+        assert rep.output_rows == 8000
+
+
+class TestNothingLeftBehind:
+    @pytest.mark.parametrize(
+        "fault", [None, "_count", "_write_level_files"], ids=["ok", "distribute-fails", "level0-fails"]
+    )
+    def test_broadcast_files_removed(self, spark, xinput, tmp_path, monkeypatch, fault):
+        """The input's one broadcast is destroyed, its driver-side file
+        removed, whether the run ends or a phase fails: the distribute phase
+        (``_count``) or level 0 (``_write_level_files``)."""
+        made = []
+        broadcast = SparkContext.broadcast
+
+        def spy(self, value):
+            made.append(broadcast(self, value))
+            return made[-1]
+
+        def boom(*args):  # defined here, so it is pickled to the workers by value
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(SparkContext, "broadcast", spy)
+        run = functools.partial(
+            runner.run_exchange, spark, xinput[0], 16, alg.ExchangeSpec(2, True), S3Store(tmp_path)
+        )
+        if fault:
+            monkeypatch.setattr(runner, fault, boom)
+            with pytest.raises(Exception, match="injected fault"):
+                run()
+        else:
+            run()[0].unpersist()
+        assert len(made) == 1
+        assert not os.path.exists(made[0]._path)
 
 
 class TestKeyType:
@@ -197,8 +265,8 @@ class TestKeyType:
 
 @pytest.fixture(scope="module")
 def few_keys(spark):
-    """Fewer distinct keys than workers: most source workers have no input
-    share and most final workers receive no rows."""
+    """Fewer distinct keys than workers: every source worker has an input
+    share, but most final workers receive no rows."""
     df = synth_data.uniform_keys(spark, n=500, n_keys=5, seed=3)
     return df, df.toPandas()
 
@@ -224,3 +292,39 @@ def test_empty_shares(spark, xinput, few_keys, xstore, spec):
     exp = alg.expected_requests(P, spec)
     got = {k: getattr(rep.ledger, k) for k in ("puts", "gets", "lists")}
     assert got == {k: exp[k] for k in ("puts", "gets", "lists")}
+
+
+@pytest.mark.parametrize(
+    "spec", [alg.ExchangeSpec(1, False), alg.ExchangeSpec(2, True)], ids=lambda s: s.label
+)
+def test_fewer_rows_than_workers(spark, tmp_path, spec):
+    """5 rows over 16 workers: 11 source workers store no share, and the
+    exchange still bills exactly its closed form."""
+    P = 16
+    df = synth_data.uniform_keys(spark, n=5, n_keys=5, seed=3)
+    store = S3Store(tmp_path)
+    out, rep = runner.run_exchange(spark, df, P, spec, store, run_id="r")
+    try:
+        pdf = out.toPandas()
+    finally:
+        out.unpersist()
+    assert len(_input_shares(store, spec, "r")) == 5
+    assert rep.input_ledger.puts == rep.input_ledger.gets == 5
+    assert (pdf["pid"] == pdf["worker"]).all()
+    a = pdf[["k", "v"]].sort_values(["k", "v"]).reset_index(drop=True)
+    b = df.toPandas().sort_values(["k", "v"]).reset_index(drop=True)
+    pd.testing.assert_frame_equal(a, b)
+    _assert_exact(rep, P, spec)
+
+
+def test_empty_input(spark, tmp_path):
+    spec, P = alg.ExchangeSpec(2, True), 16
+    df = spark.createDataFrame([], "k bigint, v double")
+    out, rep = runner.run_exchange(spark, df, P, spec, S3Store(tmp_path))
+    try:
+        assert out.count() == 0
+    finally:
+        out.unpersist()
+    assert rep.input_rows == rep.output_rows == 0
+    assert rep.input_ledger == Ledger()
+    _assert_exact(rep, P, spec)

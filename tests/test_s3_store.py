@@ -113,12 +113,59 @@ class TestListHeadDelete:
             getattr(c, op)(bucket, key)
         assert c.ledger.requests == 0
 
+    def test_key_with_a_final_newline_rejected(self, s3, tmp_path):
+        c = s3.client()
+        with pytest.raises(ValueError, match="invalid key"):
+            c.put("b0", "k\n", b"x")
+        assert list((tmp_path / "b0").iterdir()) == []
+        assert c.ledger.requests == 0
+
     def test_put_never_creates_a_bucket(self, s3, tmp_path):
         c = s3.client()
         with pytest.raises(NoSuchBucket):
             c.put("zzz", "k", b"x")
         assert not (tmp_path / "zzz").exists()
         assert c.ledger.requests == 0
+
+
+def _tree(top):
+    """Every file under ``top``, with its bytes."""
+    return {p.relative_to(top): p.read_bytes() for p in top.rglob("*") if p.is_file()}
+
+
+class TestBucketNames:
+    """A bucket name is checked on every request, so no request reaches a
+    file outside its bucket: not above the store's root, not in a
+    directory that is no bucket."""
+
+    @pytest.fixture()
+    def planted(self, tmp_path):
+        """A store under ``tmp_path/root`` and an object ``x`` where each
+        invalid bucket name below would lead."""
+        store = S3Store(tmp_path / "root")
+        for d in (tmp_path, store.root / "a" / "b", store.root / "b\n"):
+            d.mkdir(parents=True, exist_ok=True)
+            (d / "x").write_bytes(b"secret")
+        return store, tmp_path
+
+    @pytest.mark.parametrize("bucket", ["..", "a/b", "b\n"], ids=["dotdot", "slash", "newline"])
+    @pytest.mark.parametrize(
+        "op,args", [("get", ("x",)), ("head", ("x",)), ("list", ("",)), ("put", ("y", b"data"))],
+        ids=["get", "head", "list", "put"],
+    )
+    def test_invalid_bucket_rejected(self, planted, op, args, bucket):
+        store, top = planted
+        before = _tree(top)
+        c = store.client()
+        with pytest.raises(ValueError, match="invalid bucket name"):
+            getattr(c, op)(bucket, *args)
+        assert c.ledger.requests == 0
+        assert _tree(top) == before
+
+    def test_create_bucket_rejects_a_final_newline(self, tmp_path):
+        with pytest.raises(ValueError, match="invalid bucket name"):
+            S3Store(tmp_path).create_bucket("b\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestLedger:
