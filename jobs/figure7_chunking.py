@@ -1,17 +1,18 @@
 """Fig 7: chunk-size / connection-count trade-off for S3 scans.
 
-Model sweep plus a *real* request-count check through the chunked file reader
-over the simulated S3.
+Model sweep plus a *real* request-count check: the scan's chunk-fetch function
+reads a whole object over the simulated S3, one ranged GET per chunk.
 
 Usage: python jobs/figure7_chunking.py
 """
 import tempfile
 
+import numpy as np
 from _common import print_table
 
 from repro.s3.store import S3Store
 from repro.scan import chunking
-from repro.scan.s3file import S3RandomAccessFile
+from repro.scan.s3file import fetch_chunks
 
 
 def main() -> None:
@@ -30,7 +31,7 @@ def main() -> None:
     print("paper: 1 connection needs 16 MB chunks for ~max bandwidth; 4 connections reach it at 1 MB;")
     print("       at 1 MiB chunks the requests cost ~1.7x the workers")
 
-    # real request counting: read a 32 MiB object through the chunked reader
+    # real request counting: fetch a 32 MiB object whole, with no footer window
     store = S3Store(tempfile.mkdtemp(prefix="lambada-chunk-"))
     store.create_bucket("chunk")
     client = store.client()
@@ -38,8 +39,9 @@ def main() -> None:
     counted = []
     for chunk in (2**18, 2**20, 2**22):
         c2 = store.client()
-        f = S3RandomAccessFile(c2, "chunk", "blob", chunk_bytes=chunk)
-        f.read(f.size())
+        size = c2.head("chunk", "blob")
+        image = np.zeros(size, np.uint8)
+        fetch_chunks(c2, "chunk", "blob", image, [(0, size)], set(), chunk_bytes=chunk, limit=size)
         counted.append({"chunk": chunk, "gets": c2.ledger.gets, "heads": c2.ledger.heads})
     print_table(counted, "Counted GETs reading a 32 MiB object (requests ~ size/chunk)")
 

@@ -190,13 +190,23 @@ class S3Client:
         return size
 
     def list(self, bucket: str, prefix: str = "") -> list[str]:
-        """LIST keys under a prefix (sorted, as S3 returns them)."""
-        base = Path(self._bucket(bucket))
+        """LIST keys under a prefix (sorted, as S3 returns them).
+
+        Walks only the directory named by the prefix up to its last ``/``,
+        so a LIST costs what it can return, not what the bucket holds (an
+        exchange's buckets keep every level and every earlier run). The
+        rest of the prefix filters by string: ``p/o`` lists ``p/one``, and
+        ``p`` lists ``pq/x`` too. A directory part that no key can have
+        (``..``, or an absolute path) lists nothing."""
+        base = self._bucket(bucket)
+        head = prefix.rpartition("/")[0]
         keys = []
-        for p in base.rglob("*"):
-            if p.is_file() and not p.name.startswith(".tmp-"):
-                k = p.relative_to(base).as_posix()
-                if k.startswith(prefix):
-                    keys.append(k)
+        if not head or (_KEY_RE.fullmatch(head) and ".." not in head):
+            for dirpath, _, names in os.walk(os.path.join(base, head)):
+                rel = os.path.relpath(dirpath, base).replace(os.sep, "/")
+                for name in names:
+                    k = name if rel == "." else f"{rel}/{name}"
+                    if not name.startswith(".tmp-") and k.startswith(prefix):
+                        keys.append(k)
         self.ledger.record("lists", bucket)
         return sorted(keys)

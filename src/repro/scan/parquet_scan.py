@@ -1,19 +1,28 @@
 """S3 Parquet scan operator (paper §4.3.2, Fig 8).
 
-Reads one or more Parquet files from the simulated S3 through
-:class:`S3RandomAccessFile`, implementing the push-downs the operator design
-relies on:
+Reads one or more Parquet files from the simulated S3 and decides every
+request itself, implementing the push-downs the operator design relies on:
 
-* **metadata with a single file read** — the footer prefetch in the file
-  object serves the Thrift footer and column-chunk offsets with one GET;
+* **metadata with a single file read** — per file, one HEAD and one GET of
+  its last ``footer_hint`` bytes, from which the footer (the Thrift metadata
+  with the column-chunk offsets) is parsed; a footer longer than that window
+  fetches its missing head by the chunk rule below;
 * **selection push-down** — row groups whose min/max statistics miss one
   of the compiler's prune intervals ``(column, lo, hi)`` are skipped
   entirely (no data GETs; paper §5.3 / Fig 11). Each surviving row group
   is filtered by the residual conjuncts its statistics leave open, and not
   at all when its statistics prove every conjunct;
 * **projection push-down** — only the column chunks of ``columns`` are
-  downloaded (ranged GETs, chunk-aligned per Fig 7); none when the query
-  reads no column, every one when ``columns`` is ``None``.
+  downloaded; none when the query reads no column, every one when
+  ``columns`` is ``None``. Before a surviving row group is decoded, its
+  column chunks' byte ranges are fetched with one ranged GET per
+  ``chunk_bytes``-aligned chunk not fetched yet (Fig 7), each ending where
+  the footer window begins (:func:`~repro.scan.s3file.fetch_chunks`).
+
+Every fetched byte is written into an image of the file, ``np.zeros`` of
+its size, whose zero pages the OS maps only once they are written, so only
+fetched pages become resident. pyarrow decodes the row groups from that
+image with the parsed footer, so it reads only bytes the scan fetched.
 
 Each row group decodes on the calling thread: a worker is a 1792 MiB
 function, which the Fig 4 CPU law gives one vCPU, and several workers share
@@ -33,9 +42,10 @@ record, so each worker has one metrics record.
 """
 from __future__ import annotations
 
-import io
-from typing import Iterator, Sequence
+import functools
+from typing import Callable, Iterator, Sequence
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -43,23 +53,16 @@ import pyarrow.parquet as pq
 from ..core import expr as ex
 from ..core.metrics import WorkerMetrics
 from ..s3.store import S3Client
-from .s3file import DEFAULT_CHUNK_BYTES, DEFAULT_FOOTER_HINT, S3RandomAccessFile
+from .s3file import DEFAULT_CHUNK_BYTES, DEFAULT_FOOTER_HINT, fetch_chunks
 
 
-def _footer_metadata(f: S3RandomAccessFile) -> "pq.FileMetaData":
-    """Parse the Parquet footer via the file's prefetched tail window.
-
-    Layout: ... | thrift metadata (mlen bytes) | mlen (4 LE) | "PAR1".
-    ``pq.read_metadata`` only looks at a buffer's tail, so feeding it exactly
-    ``metadata + length + magic`` works without the rest of the file.
-    """
-    size = f.size()
-    tail = f.read_at(size - 8, 8)
-    if tail[4:] != b"PAR1":
-        raise ValueError("not a Parquet file (bad magic)")
-    mlen = int.from_bytes(tail[:4], "little")
-    blob = f.read_at(size - 8 - mlen, mlen + 8)
-    return pq.read_metadata(io.BytesIO(blob))
+def _column_range(cm) -> tuple[int, int]:
+    """A column chunk's bytes ``[start, end)``: from its dictionary page when
+    it has one ahead of its data pages, else from its first data page."""
+    start = cm.data_page_offset
+    if cm.dictionary_page_offset and cm.dictionary_page_offset < start:
+        start = cm.dictionary_page_offset
+    return start, start + cm.total_compressed_size
 
 
 def _provable(typ: pa.DataType) -> bool:
@@ -144,35 +147,55 @@ class ParquetScanOperator:
         return open_
 
     # -- operator interface ---------------------------------------------------
-    def _open(self, bucket: str, key: str) -> tuple[S3RandomAccessFile, "pq.FileMetaData"]:
-        """Open one file and parse its footer from the prefetched tail window.
+    def _open(self, bucket: str, key: str) -> tuple[np.ndarray, Callable, "pq.FileMetaData"]:
+        """HEAD one file, GET its last ``footer_hint`` bytes and parse its
+        footer. Returns the file's image, a function that fetches byte
+        ranges into it, and the footer.
 
-        Handing pyarrow this FileMetaData makes metadata cost exactly one GET
-        ("the library loads this metadata with a single file read") and
-        skips pyarrow's own 64 KiB speculative tail read. The first footer
-        read also fixes the scan's Arrow schema.
+        Layout: ... | thrift metadata (mlen bytes) | mlen (4 LE) | "PAR1".
+        The image is ``np.zeros`` of the file's size, not ``bytearray``
+        (which writes every page): only the pages that fetched bytes are
+        written into become resident. Handing pyarrow the parsed footer makes
+        metadata cost exactly one GET ("the library loads this metadata with
+        a single file read") when it fits the window. The first footer read
+        also fixes the scan's Arrow schema.
         """
-        f = S3RandomAccessFile(
-            self.client, bucket, key, chunk_bytes=self.chunk_bytes, footer_hint=self.footer_hint
+        size = self.client.head(bucket, key)
+        limit = max(0, size - self.footer_hint)  # where the footer window begins
+        image = np.zeros(size, np.uint8)
+        fetch = functools.partial(
+            fetch_chunks, self.client, bucket, key, image, held=set(), chunk_bytes=self.chunk_bytes, limit=limit
         )
-        meta = _footer_metadata(f)
+        window = self.client.get(bucket, key, offset=limit)
+        meta_start = size - 8 - int.from_bytes(window[-8:-4], "little")
+        if len(window) < 8 or window[-4:] != b"PAR1" or meta_start < 0:
+            raise ValueError(f"{bucket}/{key} is not a Parquet file (bad magic or footer length)")
+        image[limit:] = np.frombuffer(window, np.uint8)
+        fetch([(meta_start, limit)])  # a footer longer than the window
+        meta = pq.read_metadata(pa.BufferReader(pa.py_buffer(image[meta_start:])))
         if self._schema is None:
             self._schema = meta.schema.to_arrow_schema()
-        return f, meta
+        return image, fetch, meta
 
     def tables(self) -> Iterator[pa.Table]:
         """open/next/close: yields one Arrow table per surviving row group,
-        filtered by the conjuncts its statistics leave open."""
+        filtered by the conjuncts its statistics leave open. A row group's
+        selected column chunks are fetched before it is decoded."""
         for bucket, key in self.files:
-            f, meta = self._open(bucket, key)
+            image, fetch, meta = self._open(bucket, key)
             schema = meta.schema.to_arrow_schema()
             dictionary = [
                 c for c in self._dictionary
                 if c in schema.names and pa.types.is_string(schema.field(c).type)
             ]
-            # pre_buffer stays off — its range coalescing merges the gaps
-            # between column chunks and would re-download pruned-out columns.
-            pf = pq.ParquetFile(f, metadata=meta, pre_buffer=False, read_dictionary=dictionary)
+            # pre_buffer stays off: its range coalescing would also read the
+            # gaps between the fetched column chunks.
+            pf = pq.ParquetFile(
+                pa.BufferReader(pa.py_buffer(image)),
+                metadata=meta,
+                pre_buffer=False,
+                read_dictionary=dictionary,
+            )
             names = {meta.schema.column(i).name: i for i in range(meta.num_columns)}
             columns = schema.names if self.columns is None else self.columns
             self.metrics.row_groups_total += meta.num_row_groups
@@ -182,18 +205,20 @@ class ParquetScanOperator:
                 if open_ is None:
                     continue
                 self.metrics.row_groups_scanned += 1
+                ranges = []
                 for c in columns:
                     if c in names:
                         cm = rg_meta.column(names[c])
                         self.metrics.compressed_bytes += cm.total_compressed_size
                         self.metrics.uncompressed_bytes += cm.total_uncompressed_size
+                        ranges.append(_column_range(cm))
+                fetch(ranges)
                 tbl = pf.read_row_group(rg, columns=columns, use_threads=False)
                 self.metrics.rows_read += tbl.num_rows
                 if open_:
                     pred = open_[0] if len(open_) == 1 else ex.And(open_)
                     tbl = tbl.filter(ex.over_rows(pred, tbl))
                 yield tbl
-            f.close()
 
     def empty_table(self) -> pa.Table:
         """Typed empty result. Reuses the footer already read by
@@ -201,8 +226,7 @@ class ParquetScanOperator:
         round-trip, the 100-200 ms category of Fig 11); otherwise reads the
         first file's footer the same way, under the same ``footer_hint``."""
         if self._schema is None:
-            f, _ = self._open(*self.files[0])
-            f.close()
+            self._open(*self.files[0])
         if self.columns is None:
             return self._schema.empty_table()
         return pa.schema([self._schema.field(c) for c in self.columns]).empty_table()

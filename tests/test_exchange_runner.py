@@ -328,3 +328,22 @@ def test_empty_input(spark, tmp_path):
     assert rep.input_rows == rep.output_rows == 0
     assert rep.input_ledger == Ledger()
     _assert_exact(rep, P, spec)
+
+
+@pytest.mark.parametrize(
+    "P,spec,counts",
+    [(256, alg.ExchangeSpec(2, True), (512, 8_192, 512)), (1024, alg.ExchangeSpec(3, True), (3_072, 32_768, 3_072))],
+    ids=["P256-2l-wc", "P1024-3l-wc"],
+)
+def test_ledger_exact_at_the_papers_worker_counts(spark, xinput, xstore, P, spec, counts):
+    """Table 2's sub-quadratic request counts, measured at the paper's P
+    rather than only computed in closed form. The module's store keeps
+    every earlier run, so each LIST also finds a bucket full of them."""
+    out, rep, in_pdf = _run(spark, xinput, xstore, spec, P)
+    assert (out["pid"] == out["worker"]).all()
+    assert (out["pid"] == out["spark_pid"]).all()
+    a = out[["k", "v"]].sort_values(["k", "v"]).reset_index(drop=True)
+    b = in_pdf[["k", "v"]].sort_values(["k", "v"]).reset_index(drop=True)
+    pd.testing.assert_frame_equal(a, b)
+    _assert_exact(rep, P, spec)
+    assert (rep.ledger.puts, rep.ledger.gets, rep.ledger.lists) == counts

@@ -26,11 +26,6 @@ CALLER_DIRS = ("src", "jobs", "benchmarks", "perfbench")
 #: (module path relative to src/repro, qualified name) -> why it may have no
 #: caller in the program's own code.
 ALLOWLIST = {
-    ("scan/s3file.py", "S3RandomAccessFile.readable"): "file protocol pyarrow calls by name",
-    ("scan/s3file.py", "S3RandomAccessFile.seek"): "file protocol pyarrow calls by name",
-    ("scan/s3file.py", "S3RandomAccessFile.seekable"): "file protocol pyarrow calls by name",
-    ("scan/s3file.py", "S3RandomAccessFile.tell"): "file protocol pyarrow calls by name",
-    ("scan/s3file.py", "S3RandomAccessFile.writable"): "file protocol pyarrow calls by name",
     ("exchange/runner.py", "_LedgerSum.zero"): "AccumulatorParam method Spark calls by name",
     ("exchange/runner.py", "_LedgerSum.addInPlace"): "AccumulatorParam method Spark calls by name",
     ("core/expr.py", "Expr.eq"): "frontend API for user predicates",
@@ -115,9 +110,6 @@ def test_allowlist_names_existing_definitions():
 KNOB_ALLOWLIST = {
     ("core/engine.py", "run_query", "memory_limit_mib"): (
         "the §3.3 memory guard, a safety path the OOM test drives"
-    ),
-    ("scan/s3file.py", "S3RandomAccessFile.seek", "whence"): (
-        "file protocol pyarrow calls positionally"
     ),
     ("core/dataset.py", "prepare_lineitem", "bucket"): "a storage location is a deployment path",
     ("core/dataset.py", "prepare_lineitem", "prefix"): "a storage location is a deployment path",

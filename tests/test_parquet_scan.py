@@ -152,6 +152,21 @@ class TestCorrectness:
         rows, _ = execute_fragment(str(store.root), 0, files, phys, chunk_bytes=1 << 20, footer_hint=1 << 16)
         assert rows.schema == out.schema
 
+    @pytest.mark.parametrize(
+        "blob",
+        [b"x" * 100, bytes(20) + (1 << 20).to_bytes(4, "little") + b"PAR1", b"PAR1"],
+        ids=["no-magic", "footer-longer-than-the-file", "shorter-than-a-footer"],
+    )
+    def test_not_a_parquet_file(self, tmp_path, blob):
+        """The footer window is checked before any byte of it is used."""
+        store = S3Store(tmp_path)
+        store.create_bucket("d")
+        store.client().put("d", "x.parquet", blob)
+        client = store.client()
+        with pytest.raises(ValueError, match="not a Parquet file"):
+            list(ParquetScanOperator(client, [("d", "x.parquet")], columns=None).tables())
+        assert (client.ledger.heads, client.ledger.gets) == (1, 1)
+
     def test_empty_table_has_schema(self, scan_env):
         store, files, _ = scan_env
         op = ParquetScanOperator(store.client(), files, columns=["y"], intervals=[("x", 10 * N, None)])

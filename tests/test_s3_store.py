@@ -1,4 +1,5 @@
 """Unit tests for the simulated S3 object store and request ledgers."""
+import os
 import threading
 
 import pytest
@@ -93,6 +94,38 @@ class TestListHeadDelete:
         c.put("b0", "p/one", b"x")
         (tmp_path / "b0" / "p" / ".tmp-junk").write_bytes(b"partial")
         assert c.list("b0", "p/") == ["p/one"]
+
+    def test_list_prefix_filters_by_string(self, s3):
+        """A prefix that does not end at ``/`` matches keys by string, in
+        the last directory it names and in the ones below it."""
+        c = s3.client()
+        for k in ("p/one", "p/two", "p/o/deep", "pq/x", "q/three", "one"):
+            c.put("b0", k, b"x")
+        assert c.list("b0", "p/o") == ["p/o/deep", "p/one"]
+        assert c.list("b0", "p") == ["p/o/deep", "p/one", "p/two", "pq/x"]
+        assert c.list("b0", "p/o/") == ["p/o/deep"]
+        assert c.list("b0", "nope/") == []
+        assert c.list("b0", "o") == ["one"]
+
+    @pytest.mark.parametrize("prefix", ["../b1/", "p/../", "/", "/abs/"])
+    def test_list_never_leaves_the_bucket(self, s3, prefix):
+        c = s3.client()
+        c.put("b0", "p/one", b"x")
+        c.put("b1", "k", b"x")
+        assert c.list("b0", prefix) == []
+        assert c.ledger.lists == 1
+
+    def test_list_walks_only_the_prefix_directory(self, s3, tmp_path, monkeypatch):
+        """A LIST of ``r1/`` opens ``r1/`` and what lies below it, never
+        ``r2/`` or the bucket's top directory."""
+        c = s3.client()
+        for k in ("r1/a/x", "r1/b", "r2/a/x", "r2/b", "top"):
+            c.put("b0", k, b"x")
+        opened, scandir = [], os.scandir
+        monkeypatch.setattr(os, "scandir", lambda p=".": opened.append(os.fspath(p)) or scandir(p))
+        assert c.list("b0", "r1/") == ["r1/a/x", "r1/b"]
+        bucket = tmp_path / "b0"
+        assert sorted(opened) == [str(bucket / "r1"), str(bucket / "r1" / "a")]
 
     def test_head_size(self, s3):
         c = s3.client()

@@ -1,4 +1,4 @@
-"""Chunked random-access file over simulated S3 (scan operator substrate)."""
+"""Chunk-aligned ranged GETs over simulated S3 (the scan's request substrate)."""
 import io
 import math
 
@@ -9,114 +9,153 @@ import pytest
 
 from repro.s3.store import S3Store
 from repro.scan.parquet_scan import ParquetScanOperator
-from repro.scan.s3file import S3RandomAccessFile
+from repro.scan.s3file import fetch_chunks
 
 SIZE = 300_000
 CHUNK = 2**16  # 64 KiB chunks for the tests
 FOOTER = 2**14  # 16 KiB footer window
 
 
+class Blob:
+    """One stored object and a file-sized image that fetches fill."""
+
+    def __init__(self, store, bucket, key, data, *, chunk_bytes=CHUNK, limit=None):
+        self.client = store.client()
+        self.bucket, self.key, self.data = bucket, key, data
+        self.image = np.zeros(len(data), np.uint8)
+        self.held = set()
+        self.chunk_bytes = chunk_bytes
+        self.limit = len(data) if limit is None else limit
+
+    def fetch(self, *ranges):
+        fetch_chunks(
+            self.client, self.bucket, self.key, self.image, ranges, self.held,
+            chunk_bytes=self.chunk_bytes, limit=self.limit,
+        )
+
+    def holds(self, start, end) -> bool:
+        """Whether the image holds the object's bytes ``[start, end)``."""
+        return self.image[start:end].tobytes() == self.data[start:end]
+
+
 @pytest.fixture()
-def blobfile(tmp_path):
+def blob_store(tmp_path):
     store = S3Store(tmp_path)
     store.create_bucket("b")
-    c = store.client()
     data = bytes(i % 251 for i in range(SIZE))
-    c.put("b", "blob", data)
-    client = store.client()
-    f = S3RandomAccessFile(client, "b", "blob", chunk_bytes=CHUNK, footer_hint=FOOTER)
-    return f, client, data
+    store.client().put("b", "blob", data)
+    return store, data
+
+
+@pytest.fixture()
+def blob(blob_store):
+    """The object with no footer window held: chunks run to its end."""
+    store, data = blob_store
+    return Blob(store, "b", "blob", data)
+
+
+@pytest.fixture()
+def windowed(blob_store):
+    """The object with its last ``FOOTER`` bytes held: chunks stop there."""
+    store, data = blob_store
+    return Blob(store, "b", "blob", data, limit=SIZE - FOOTER)
+
+
+def _parquet(tmp_path, table, **write):
+    store = S3Store(tmp_path)
+    store.create_bucket("p")
+    buf = io.BytesIO()
+    pq.write_table(table, buf, **write)
+    store.client().put("p", "t.parquet", buf.getvalue())
+    return store, buf.getvalue()
 
 
 class TestReads:
-    def test_sequential_read_matches(self, blobfile):
-        f, _, data = blobfile
-        assert f.read(100) == data[:100]
-        assert f.read(100) == data[100:200]
+    def test_sequential_read_matches(self, blob):
+        """Consecutive ranges inside one chunk: the second is already held."""
+        blob.fetch((0, 100))
+        blob.fetch((100, 200))
+        assert blob.holds(0, 200)
+        assert blob.client.ledger.gets == 1
 
-    def test_read_all(self, blobfile):
-        f, _, data = blobfile
-        assert f.read() == data
+    def test_read_all(self, blob):
+        blob.fetch((0, SIZE))
+        assert blob.image.tobytes() == blob.data
 
     @pytest.mark.parametrize("offset,n", [(0, 10), (65535, 2), (131072, 65536), (SIZE - 5, 100)])
-    def test_read_at(self, blobfile, offset, n):
-        f, _, data = blobfile
-        assert f.read_at(offset, n) == data[offset : offset + n]
+    def test_read_at(self, blob, offset, n):
+        """A range's bytes land at their own offsets in the image."""
+        blob.fetch((offset, offset + n))
+        assert blob.holds(offset, offset + n)
 
-    def test_seek_whence(self, blobfile):
-        f, _, data = blobfile
-        f.seek(-10, 2)
-        assert f.read(10) == data[-10:]
-        f.seek(5)
-        f.seek(5, 1)
-        assert f.tell() == 10
-
-    def test_size_via_head(self, blobfile):
-        f, client, _ = blobfile
-        assert f.size() == SIZE
+    def test_size_via_head(self, tmp_path):
+        """The scan learns a file's size from one HEAD, and its image is
+        that size."""
+        store, data = _parquet(tmp_path, pa.table({"a": np.arange(100)}))
+        client = store.client()
+        image, _, _ = ParquetScanOperator(client, [("p", "t.parquet")], columns=None)._open("p", "t.parquet")
+        assert len(image) == len(data)
         assert client.ledger.heads == 1
 
-    def test_read_past_eof(self, blobfile):
-        f, _, _ = blobfile
-        assert f.read_at(SIZE + 10, 5) == b""
-
-    def test_negative_seek_rejected(self, blobfile):
-        f, _, _ = blobfile
-        with pytest.raises(ValueError):
-            f.seek(-1)
+    def test_read_past_eof(self, blob):
+        blob.fetch((SIZE + 10, SIZE + 15))
+        assert blob.client.ledger.gets == 0
 
 
 class TestRequestAccounting:
-    def test_one_get_per_chunk(self, blobfile):
-        f, client, _ = blobfile
-        f.read_at(0, CHUNK)  # exactly one chunk
-        assert client.ledger.gets == 1
-        f.read_at(0, CHUNK)  # cached: no new request
-        assert client.ledger.gets == 1
+    def test_one_get_per_chunk(self, blob):
+        blob.fetch((0, CHUNK))  # exactly one chunk
+        assert blob.client.ledger.gets == 1
+        blob.fetch((0, CHUNK))  # held: no new request
+        assert blob.client.ledger.gets == 1
 
-    def test_spanning_read_fetches_both_chunks(self, blobfile):
-        f, client, _ = blobfile
-        f.read_at(CHUNK - 10, 20)
-        assert client.ledger.gets == 2
+    def test_no_chunk_fetched_twice(self, blob):
+        """Overlapping ranges, in one call or over several, GET each chunk
+        they cover once."""
+        blob.fetch((10, 2 * CHUNK + 5), (CHUNK + 1, CHUNK + 2))
+        blob.fetch((CHUNK, 3 * CHUNK))
+        assert blob.client.ledger.gets == 3
+        assert blob.client.ledger.bytes_read == 3 * CHUNK
+        assert blob.held == {0, 1, 2}
 
-    def test_footer_is_a_single_get(self, blobfile):
-        """Paper: 'The library loads this metadata with a single file read'."""
-        f, client, _ = blobfile
-        f.seek(-100, 2)
-        f.read(100)
-        f.read_at(SIZE - FOOTER + 1, 50)  # anywhere in the footer window
-        assert client.ledger.gets == 1
+    def test_spanning_read_fetches_both_chunks(self, blob):
+        blob.fetch((CHUNK - 10, CHUNK + 10))
+        assert blob.client.ledger.gets == 2
+        assert blob.holds(0, 2 * CHUNK)
 
-    def test_full_scan_requests_bounded_by_chunks(self, blobfile):
-        f, client, data = blobfile
-        assert f.read() == data
-        assert client.ledger.gets <= math.ceil((SIZE - FOOTER) / CHUNK) + 1  # + footer
+    def test_footer_is_a_single_get(self, tmp_path):
+        """Paper: 'The library loads this metadata with a single file read'.
+        A scan that reads no column costs one HEAD and one GET per file."""
+        store, _ = _parquet(tmp_path, pa.table({"a": np.arange(10_000), "b": np.arange(10_000.0)}))
+        client = store.client()
+        op = ParquetScanOperator(client, [("p", "t.parquet")], columns=[], footer_hint=FOOTER)
+        assert sum(t.num_rows for t in op.tables()) == 10_000
+        assert (client.ledger.heads, client.ledger.gets) == (1, 1)
 
-    def test_cold_sequential_read_takes_one_get_per_chunk(self, blobfile):
-        """Fig 7's request counts: with the footer window not yet held, a
-        read takes one GET per chunk, also for the chunks the window covers."""
-        f, client, data = blobfile
-        assert f.read() == data
-        assert client.ledger.gets == math.ceil(SIZE / CHUNK)
+    def test_cold_sequential_read_takes_one_get_per_chunk(self, blob):
+        """Fig 7's request counts: with no footer window held, a whole-object
+        read takes one GET per chunk, the last one short."""
+        blob.fetch((0, SIZE))
+        assert blob.client.ledger.gets == math.ceil(SIZE / CHUNK)
+        assert blob.client.ledger.bytes_read == SIZE
 
-    def test_chunk_gets_stop_at_the_held_footer_window(self, blobfile):
-        f, client, data = blobfile
-        f.read_at(SIZE - 8, 8)  # the footer GET
-        assert f.read_at(SIZE - FOOTER - 100, 200) == data[SIZE - FOOTER - 100 : SIZE - FOOTER + 100]
-        assert client.ledger.gets == 2
-        assert client.ledger.bytes_read == FOOTER + (SIZE - FOOTER) % CHUNK
+    def test_chunk_gets_stop_at_the_held_footer_window(self, windowed):
+        """A range that crosses into the footer window fetches only the
+        chunks below it, and the last of them ends where the window begins."""
+        limit = SIZE - FOOTER
+        windowed.fetch((limit - 100, limit + 100))
+        assert windowed.holds(limit - 100, limit)
+        assert windowed.client.ledger.gets == 1
+        assert windowed.client.ledger.bytes_read == limit % CHUNK
+        windowed.fetch((limit, SIZE))  # wholly inside the window
+        assert windowed.client.ledger.gets == 1
 
     def test_scan_reads_each_file_byte_at_most_once(self, tmp_path):
         """A Parquet scan whose last column chunk straddles the footer
         window downloads that chunk's tail only with the footer GET."""
         g = np.random.default_rng(5)
         t = pa.table({c: g.integers(0, 2**40, 5_000) for c in ("a", "b", "c")})
-        buf = io.BytesIO()
-        pq.write_table(t, buf, compression="none")
-        data = buf.getvalue()
-        store = S3Store(tmp_path)
-        store.create_bucket("p")
-        store.client().put("p", "t.parquet", data)
+        store, data = _parquet(tmp_path, t, compression="none")
         meta = pq.read_metadata(io.BytesIO(data))
         last = meta.row_group(0).column(2)
         start = last.dictionary_page_offset or last.data_page_offset
@@ -134,18 +173,18 @@ class TestRequestAccounting:
     def test_smaller_chunks_mean_more_requests(self, tmp_path):
         store = S3Store(tmp_path)
         store.create_bucket("c")
-        store.client().put("c", "x", b"\x01" * 2**20)
+        data = b"\x01" * 2**20
+        store.client().put("c", "x", data)
         counts = {}
         for chunk in (2**16, 2**18):
-            cl = store.client()
-            f = S3RandomAccessFile(cl, "c", "x", chunk_bytes=chunk, footer_hint=0)
-            f.read()
-            counts[chunk] = cl.ledger.gets
-        assert counts[2**16] == pytest.approx(4 * counts[2**18], abs=2)
+            b = Blob(store, "c", "x", data, chunk_bytes=chunk)
+            b.fetch((0, len(data)))
+            counts[chunk] = b.client.ledger.gets
+        assert counts == {2**16: 16, 2**18: 4}
 
-    def test_invalid_chunk_size(self, tmp_path):
-        store = S3Store(tmp_path)
-        store.create_bucket("c")
-        store.client().put("c", "x", b"abc")
+    def test_invalid_chunk_size(self, blob_store):
+        store, data = blob_store
+        b = Blob(store, "b", "blob", data, chunk_bytes=0)
         with pytest.raises(ValueError):
-            S3RandomAccessFile(store.client(), "c", "x", chunk_bytes=0)
+            b.fetch((0, 10))
+        assert b.client.ledger.gets == 0
