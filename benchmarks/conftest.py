@@ -1,7 +1,8 @@
 """Benchmark fixtures: SF 0.1 dataset (~100 MB scale per the task brief)."""
 import pytest
 
-from repro.sim import experiments as X
+from repro.core import dataset
+from repro.s3.store import S3Store
 
 BENCH_SF = 0.1
 BENCH_FILES = 16
@@ -14,6 +15,6 @@ def bench_store_root(tmp_path_factory) -> str:
 
 @pytest.fixture(scope="session")
 def bench_ds(spark, bench_store_root):
-    return X.prepare(
-        spark, bench_store_root, sf=BENCH_SF, n_files=BENCH_FILES, row_groups_per_file=2
+    return dataset.prepare_lineitem(
+        spark, S3Store(bench_store_root), sf=BENCH_SF, n_files=BENCH_FILES, row_groups_per_file=2
     )

@@ -10,13 +10,15 @@ import tempfile
 
 from _common import get_spark, print_table
 
+from repro.core import dataset
+from repro.s3.store import S3Store
 from repro.sim import experiments as X
 
 
 def main(sf: float = 0.02, n_files: int = 32) -> None:
     spark = get_spark("figure10")
     tmp = tempfile.mkdtemp(prefix="lambada-f10-")
-    info, _ = X.prepare(spark, tmp, sf=sf, n_files=n_files)
+    info, _ = dataset.prepare_lineitem(spark, S3Store(tmp), sf=sf, n_files=n_files)
     mq1 = X.measure_query(spark, tmp, info, "q1")
 
     print_table(

@@ -4,11 +4,11 @@ Checks a logical plan's chain and lowers it into a :class:`PhysicalQuery`,
 in one walk from the scan up, with
   * projection push-down: the scan downloads only columns any operator uses
     (a query that neither projects nor aggregates returns, so reads, all),
-  * selection push-down: each prunable conjunct (bare column vs literal)
-    becomes a prune interval ``(column, lo, hi)`` that the scan tests
-    against row-group min/max statistics; *all* conjuncts remain as the
-    row-level residual filter (pruning is row-group-granular), which the
-    scan applies to each row group whose statistics do not prove it,
+  * selection push-down: the filters' conjuncts form one residual
+    predicate, which the scan takes whole: it skips a row group whose
+    min/max statistics miss the ``prune_interval()`` of a conjunct (a bare
+    column vs literal), and filters each row group by the conjuncts that
+    its statistics do not prove (pruning is row-group-granular),
   * the aggregate keys and functions, unchanged: ``worker.PARTIAL_STATES``
     splits each function into the states the serverless scope computes and
     the driver scope combines.
@@ -27,7 +27,6 @@ class PhysicalQuery:
 
     files: list
     scan_columns: list | None  # projection push-down; None: every column
-    prune_intervals: list  # (column, lo, hi) per prunable conjunct
     residual_predicate: ex.Pred | None  # row-level filter (all conjuncts)
     projections: dict | None  # post-filter computed columns
     keys: list
@@ -68,9 +67,7 @@ def compile_plan(plan: pl.Plan) -> PhysicalQuery:
         else:
             keys, aggs = list(n.keys), list(n.aggs)
 
-    # selection push-down: the scan prunes row groups on these, once per query
-    intervals = [p.prune_interval() for p in predicates]
-    intervals = [iv for iv in intervals if iv is not None]
+    # selection push-down: the scan prunes and filters on the residual
     residual = None
     if predicates:
         residual = predicates[0] if len(predicates) == 1 else ex.And(predicates)
@@ -94,7 +91,6 @@ def compile_plan(plan: pl.Plan) -> PhysicalQuery:
     return PhysicalQuery(
         files=list(scan.files),
         scan_columns=scan_columns,
-        prune_intervals=intervals,
         residual_predicate=residual,
         projections=projections,
         keys=keys,

@@ -14,9 +14,9 @@ of the first file, so no driver code decides the type of a partial state.
 The driver-scope final aggregation is the paper's small driver scope: one
 Arrow group-by over the collected partial states, in the driver process
 (``avg`` divides as float, also over integer sums). The job is
-:func:`repro.pytask.run_on_workers`, whose task function is wrapped by
-:func:`repro.pytask.task`, so a reused Python worker does not re-read its
-import archives before every query.
+:func:`repro.pytask.run_on_workers`, whose tasks prepare their Python worker
+process once, so a reused worker does not re-read its import archives before
+every query.
 
 Real wall-clock at SF<=0.1 validates *correctness*; paper-scale latency and
 cost come from ``repro.sim.worker_model`` fed with the measured metrics.

@@ -131,7 +131,6 @@ def execute_fragment(
         client,
         files,
         columns=phys.scan_columns,
-        intervals=phys.prune_intervals,
         residual=phys.residual_predicate,
         dictionary=phys.keys,
         chunk_bytes=chunk_bytes,

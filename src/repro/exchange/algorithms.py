@@ -6,7 +6,10 @@ case) and runs BasicGroupExchange once per dimension: level l exchanges data
 among the workers that agree on every coordinate except l, routing each
 record to the group member whose level-l coordinate equals the level-l
 coordinate of the record's partition ID. After all levels, worker ID equals
-partition ID.
+partition ID. Both are closed forms over the IDs: with ``b`` the product of
+the dimensions below ``l``, the level-l coordinate of x is
+``x // b % dims[l]``, and x's level-l group drops that digit,
+``x % b + x // (b * dims[l]) * b``.
 
 ``expected_requests`` gives the *exact* per-level request counts for our
 implementation; tests assert ledger equality against them and their agreement
@@ -63,22 +66,9 @@ def grid_dims(n_workers: int, levels: int) -> tuple[int, ...]:
     return tuple(dims)
 
 
-def coords(x: int, dims: tuple[int, ...]) -> tuple[int, ...]:
-    """Mixed-radix projection (generalised H_s; 2-level: (x % s, x // s))."""
-    out = []
-    for d in dims:
-        out.append(x % d)
-        x //= d
-    return tuple(out)
-
-
-def level_coord(x: int, dims: tuple[int, ...], level: int) -> int:
-    """The ``level``-th coordinate of ID ``x`` (the routing target)."""
-    return coords(x, dims)[level]
-
-
 def level_coords(xs, dims: tuple[int, ...], level: int):
-    """:func:`level_coord` of a whole numpy array of IDs at once."""
+    """The ``level``-th mixed-radix coordinate of ID ``xs``, a Python int or
+    a numpy array of IDs (the routing target)."""
     return xs // math.prod(dims[:level]) % dims[level]
 
 
@@ -86,14 +76,8 @@ def group_id(p: int, dims: tuple[int, ...], level: int) -> int:
     """Linear index of p's level-``level`` group: its coordinates with the
     ``level`` dimension removed. Workers in the same group exchange with
     each other at this level."""
-    cs = list(coords(p, dims))
-    gid, mul = 0, 1
-    for i, (c, d) in enumerate(zip(cs, dims)):
-        if i == level:
-            continue
-        gid += c * mul
-        mul *= d
-    return gid
+    b = math.prod(dims[:level])
+    return p % b + p // (b * dims[level]) * b
 
 
 def expected_requests(n_workers: int, spec: ExchangeSpec) -> dict:

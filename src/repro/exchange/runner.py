@@ -13,7 +13,7 @@ need it, from the key; no phase stores it.
 
 Every phase is a :func:`repro.pytask.run_on_workers` job over the worker
 IDs (``spark.range(P).mapInArrow``, so workers without rows run too), whose
-tasks :func:`repro.pytask.task` wraps.
+tasks prepare their Python worker processes once.
 Phases for a k-level exchange:
 
   0. *distribute*: the driver reads the input once as an Arrow table
@@ -44,7 +44,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from pyspark import AccumulatorParam
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql.pandas.types import to_arrow_schema
+from pyspark.sql.pandas.types import from_arrow_schema, to_arrow_schema
 from pyspark.sql.types import IntegerType, LongType, StructField, StructType
 
 from ..pytask import run_on_workers
@@ -55,7 +55,6 @@ from . import naming, serde
 #: the column whose hash decides a record's partition
 KEY = "k"
 #: what the distribute and level phases return: rows handled per worker
-_COUNTS_DDL = "worker int, rows long"
 _COUNTS = pa.schema([("worker", pa.int32()), ("rows", pa.int64())])
 
 
@@ -139,7 +138,7 @@ def _read_level_files(
     d = dims[level]
     gid = alg.group_id(p, dims, level)
     bucket = naming.bucket_for_group(gid, spec.n_buckets)
-    my = alg.level_coord(p, dims, level)
+    my = alg.level_coords(p, dims, level)
     tables = []
     if spec.write_combining:
         # one LIST discovers every sender's key, offsets included in the name
@@ -175,7 +174,7 @@ def _write_level_files(
     for every sender's file)."""
     gid = alg.group_id(p, dims, level)
     bucket = naming.bucket_for_group(gid, spec.n_buckets)
-    me = alg.level_coord(p, dims, level)
+    me = alg.level_coords(p, dims, level)
     target = alg.level_coords(partition_ids(rows[KEY], math.prod(dims)), dims, level)
     parts = [serde.frame_to_bytes(t) for t in _split(rows, target, dims[level])]
     if spec.write_combining:
@@ -224,6 +223,7 @@ def run_exchange(
     input_acc = sc.accumulator(Ledger(), _LedgerSum())
     level_accs = [sc.accumulator(Ledger(), _LedgerSum()) for _ in range(spec.levels)]
     collect_acc = sc.accumulator(Ledger(), _LedgerSum())
+    counts_schema = from_arrow_schema(_COUNTS)
 
     # Workers without rows still exchange typed empty tables. Spark converts
     # an empty frame of the payload schema for them; no job runs over df.
@@ -254,7 +254,7 @@ def run_exchange(
         yield _count(p, share)
 
     try:
-        counts = run_on_workers(spark, n_workers, _distribute, _COUNTS_DDL)
+        counts = run_on_workers(spark, n_workers, _distribute, counts_schema)
         n_in = sum(r.rows for r in counts.collect())
     finally:
         relation.destroy()
@@ -280,7 +280,7 @@ def run_exchange(
 
     for level in range(spec.levels):
         # the action is the barrier
-        counts = run_on_workers(spark, n_workers, _level_phase(level), _COUNTS_DDL)
+        counts = run_on_workers(spark, n_workers, _level_phase(level), counts_schema)
         moved = sum(r.rows for r in counts.collect())
         if moved != n_in:
             raise RuntimeError(f"level {level} moved {moved} of {n_in} rows")

@@ -7,21 +7,21 @@ Two costs of PySpark's reused Python worker process are paid per task:
   Up to CPython 3.12 every ``zipimporter`` then re-reads its archive's whole
   directory in pure Python: here pyspark.zip, the py4j zip and the
   spark-core jar, behind 16 importers, 0.12-0.29 s per task on a 4 vCPU VM.
-  :func:`task` makes a worker process's zipimporters re-read an archive only
-  when its ``(st_mtime_ns, st_size)`` has changed since that importer last
-  read it. CPython 3.13 is lazy by itself (it only drops the cache), so
-  there the class is left as it is.
+  :func:`run_on_workers` makes a worker process's zipimporters re-read an
+  archive only when its ``(st_mtime_ns, st_size)`` has changed since that
+  importer last read it. CPython 3.13 is lazy by itself (it only drops the
+  cache), so there the class is left as it is.
 * After every task, PySpark's daemon calls ``gc.collect()`` in the reused
   worker, a full collection that traverses every object pyspark, pyarrow
-  and pandas left on the heap: about 30 ms of CPU per task. :func:`task`
-  runs ``gc.freeze()`` once per worker process, on every CPython version,
-  so each later collection traverses only what the tasks allocated.
+  and pandas left on the heap: about 30 ms of CPU per task.
+  :func:`run_on_workers` runs ``gc.freeze()`` once per worker process, on
+  every CPython version, so each later collection traverses only what the
+  tasks allocated.
 
 The driver process never runs a task, so it is never patched or frozen.
 :func:`run_on_workers` is the one job shape that runs a function per worker
-ID, wrapped so.
+ID, and its task prepares the worker process before its first ID.
 """
-import functools
 import gc
 import os
 import sys
@@ -68,27 +68,15 @@ def _prepare():
     gc.freeze()
 
 
-def task(fn):
-    """Wrap a one-argument Spark task function (an Arrow batch iterator, or
-    a group's table) so that the worker process running it is first
-    prepared, once per process: until then its heap is not frozen."""
-
-    @functools.wraps(fn)
-    def wrapped(arg):
-        if not gc.get_freeze_count():
-            _prepare()
-        return fn(arg)
-
-    return wrapped
-
-
 def run_on_workers(spark, n_workers: int, fn, schema):
     """One Spark job over the worker IDs ``0..n_workers-1``, lazily: each
     task runs ``fn(p)`` for its IDs in turn and emits the Arrow record
-    batches it yields, typed by ``schema``."""
+    batches it yields, typed by ``schema``. A task first prepares its worker
+    process, once per process: until then the heap is not frozen."""
 
-    @task
     def tasks(batches):
+        if not gc.get_freeze_count():
+            _prepare()
         for batch in batches:
             for p in batch.column(0).to_pylist():
                 yield from fn(p)

@@ -46,8 +46,9 @@ class NoSuchBucket(KeyError):
 class Ledger:
     """Request accounting for one client: counts, bytes, per-bucket counts.
 
-    ``per_bucket`` maps bucket name -> {op: count} and is what the rate-limit
-    model consumes (S3 limits are per bucket/prefix).
+    ``per_bucket`` maps bucket name -> {op: count} (S3 limits are per
+    bucket/prefix). Only the tests' per-bucket throttle model reads it
+    today; it is kept for the fault-injecting store of ROADMAP item 3.
     """
 
     gets: int = 0

@@ -7,11 +7,12 @@ request itself, implementing the push-downs the operator design relies on:
   its last ``footer_hint`` bytes, from which the footer (the Thrift metadata
   with the column-chunk offsets) is parsed; a footer longer than that window
   fetches its missing head by the chunk rule below;
-* **selection push-down** — row groups whose min/max statistics miss one
-  of the compiler's prune intervals ``(column, lo, hi)`` are skipped
-  entirely (no data GETs; paper §5.3 / Fig 11). Each surviving row group
-  is filtered by the residual conjuncts its statistics leave open, and not
-  at all when its statistics prove every conjunct;
+* **selection push-down** — the scan takes the query's residual predicate.
+  A row group whose min/max statistics miss the prune interval
+  ``(column, lo, hi)`` of one of its conjuncts is skipped entirely (no
+  data GETs; paper §5.3 / Fig 11). Each surviving row group is filtered by
+  the conjuncts its statistics leave open, and not at all when its
+  statistics prove every conjunct;
 * **projection push-down** — only the column chunks of ``columns`` are
   downloaded; none when the query reads no column, every one when
   ``columns`` is ``None``. Before a surviving row group is decoded, its
@@ -95,12 +96,17 @@ class ParquetScanOperator:
         files: Sequence[tuple[str, str]],
         *,
         columns: Sequence[str] | None,
-        intervals: Sequence[tuple] = (),
         residual: ex.Pred | None = None,
         dictionary: Sequence[str] = (),
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
         footer_hint: int = DEFAULT_FOOTER_HINT,
     ):
+        # checked before any request: a footer window holds at least the
+        # footer's length and magic
+        if chunk_bytes < 1:
+            raise ValueError(f"chunk_bytes must be >= 1, not {chunk_bytes}")
+        if footer_hint < 8:
+            raise ValueError(f"footer_hint must be >= 8, not {footer_hint}")
         self.client = client
         self.files = list(files)
         self.columns = None if columns is None else list(columns)
@@ -108,42 +114,38 @@ class ParquetScanOperator:
         self.footer_hint = footer_hint
         self.metrics = WorkerMetrics(worker_id=-1)  # a worker sets its own
         self._schema: pa.Schema | None = None  # cached from the first footer
-        self._intervals = list(intervals)
         self._dictionary = list(dictionary)
-        # each residual conjunct, with the column whose statistics may prove
-        # it: that of a bare column-vs-literal comparison, else None
-        self._conjuncts = []
-        for p in [] if residual is None else residual.conjuncts():
-            iv = p.prune_interval()
-            self._conjuncts.append((p, None if iv is None else iv[0]))
+        # each residual conjunct with its prune interval (column, lo, hi),
+        # which is None unless it compares a bare column with a literal
+        self._conjuncts = [
+            (p, p.prune_interval()) for p in ([] if residual is None else residual.conjuncts())
+        ]
 
     # -- pruning and proofs ---------------------------------------------------
     def _open_conjuncts(self, rg_meta, names: dict, schema: pa.Schema) -> list | None:
-        """Prune, prove or filter one row group: None when some prune
-        interval misses its statistics, else the residual conjuncts that its
-        statistics leave open. A conjunct is proven when its column is
-        integer, date or timestamp, the chunk has min/max and no null, and
-        the conjunct's own kernel holds on both the min and the max: a
-        comparison with a literal is monotone, so it then holds on every
-        row."""
-        for column, lo, hi in self._intervals:
-            st = _statistics(rg_meta, names, column)
-            if st is not None:  # no statistics -> cannot prune (conservative)
-                stat = _min_max(st, schema, column)[column]
-                if not ex.interval_overlaps(lo, hi, stat[0], stat[1]):
-                    return None
+        """Prune, prove or filter one row group in one pass over the
+        conjuncts: None when its statistics miss some conjunct's prune
+        interval, else the conjuncts they leave open. A conjunct is proven
+        when its column is integer, date or timestamp, the chunk has min/max
+        and no null, and the conjunct's own kernel holds on both the min and
+        the max: a comparison with a literal is monotone, so it then holds
+        on every row."""
         open_ = []
-        for p, column in self._conjuncts:
-            st = None if column is None else _statistics(rg_meta, names, column)
-            proven = (
-                st is not None
-                and st.has_null_count
-                and st.null_count == 0
-                and _provable(schema.field(column).type)
-                and pc.all(p.eval(_min_max(st, schema, column))).as_py()
-            )
-            if not proven:
-                open_.append(p)
+        for p, iv in self._conjuncts:
+            st = None if iv is None else _statistics(rg_meta, names, iv[0])
+            if st is not None:  # no statistics -> neither prune nor prove
+                column, lo, hi = iv
+                bounds = _min_max(st, schema, column)
+                if not ex.interval_overlaps(lo, hi, *bounds[column]):
+                    return None
+                if (
+                    st.has_null_count
+                    and st.null_count == 0
+                    and _provable(schema.field(column).type)
+                    and pc.all(p.eval(bounds)).as_py()
+                ):
+                    continue  # proven
+            open_.append(p)
         return open_
 
     # -- operator interface ---------------------------------------------------

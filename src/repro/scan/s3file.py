@@ -40,8 +40,6 @@ def fetch_chunks(
     chunk is written into ``image``, a byte array of the object's size,
     at its own offset, and its index is added to ``held``.
     """
-    if chunk_bytes < 1:
-        raise ValueError("chunk_bytes must be positive")
     wanted = set()
     for start, end in ranges:
         end = min(end, limit)

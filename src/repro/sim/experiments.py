@@ -20,7 +20,6 @@ from ..core import dataset, engine, queries
 from ..core.frontend import Lambada
 from ..qaas import athena, bigquery
 from ..qaas.base import QaaSEstimate
-from ..s3.store import S3Store
 from . import constants as C
 from . import scaling, worker_model
 
@@ -54,13 +53,6 @@ class MeasuredQuery:
     def used_uncompressed_fraction(self) -> float:
         _, used = self.info.used_column_bytes(self.columns)
         return used / self.info.total_uncompressed_bytes
-
-
-def prepare(spark: SparkSession, store_root: str, *, sf: float = 0.01, n_files: int = 16, row_groups_per_file: int = 2):
-    """Create the sorted LINEITEM layout once; returns (info, sorted pdf)."""
-    return dataset.prepare_lineitem(
-        spark, S3Store(store_root), sf=sf, n_files=n_files, row_groups_per_file=row_groups_per_file
-    )
 
 
 def measure_query(

@@ -6,6 +6,7 @@ many tests only inspect their metrics.
 """
 import pytest
 
+from repro.core import dataset
 from repro.s3.store import S3Store
 from repro.scan.parquet_scan import ParquetScanOperator
 from repro.sim import experiments as X
@@ -27,7 +28,9 @@ def store(store_root) -> S3Store:
 @pytest.fixture(scope="session")
 def lineitem_ds(spark, store_root):
     """(DatasetInfo, sorted pandas frame) of the prepared LINEITEM layout."""
-    return X.prepare(spark, store_root, sf=SF, n_files=N_FILES, row_groups_per_file=2)
+    return dataset.prepare_lineitem(
+        spark, S3Store(store_root), sf=SF, n_files=N_FILES, row_groups_per_file=2
+    )
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,7 @@ from repro.core.expr import col, lit
 from repro.core.frontend import Lambada
 from repro.core.plan import AggSpec
 from repro.core.worker import execute_fragment
-from repro.s3.store import S3Store
+from repro.s3.store import S3Client, S3Store
 
 
 class TestQ1:
@@ -126,6 +126,34 @@ class TestEngineMechanics:
         src = Lambada(store_root).from_files(info.files)
         with pytest.raises(ValueError, match="files_per_worker"):
             engine.run_query(spark, store_root, queries.q6(src), files_per_worker=fpw)
+
+    @pytest.mark.parametrize(
+        "io", [{"chunk_bytes": 0}, {"footer_hint": 7}], ids=["chunk_bytes=0", "footer_hint=7"]
+    )
+    def test_bad_io_sizes_rejected_before_any_request(self, spark, store_root, lineitem_ds, monkeypatch, io):
+        """A chunk size below one byte, or a footer window too short for the
+        footer's length and magic, is rejected in the driver: no store
+        request is made and no Spark job runs."""
+        info, _ = lineitem_ds
+        calls = []
+        for op in ("get", "head"):
+            real = getattr(S3Client, op)
+            monkeypatch.setattr(
+                S3Client, op, lambda self, *a, _op=op, _real=real, **k: calls.append(_op) or _real(self, *a, **k)
+            )
+        monkeypatch.setattr(engine, "run_on_workers", lambda *a: calls.append("job"))
+        src = Lambada(store_root).from_files(info.files)
+        with pytest.raises(ValueError, match=next(iter(io))):
+            engine.run_query(spark, store_root, queries.q6(src), **io)
+        assert calls == []
+
+    def test_eight_byte_footer_window_reads_the_files(self, spark, store_root, lineitem_ds, result_df):
+        """The smallest footer window holds only the footer's length and
+        magic; the footer itself is then fetched by the chunk rule."""
+        info, pdf = lineitem_ds
+        src = Lambada(store_root).from_files(info.files)
+        res = engine.run_query(spark, store_root, queries.q6(src), footer_hint=8)
+        oracle.assert_equivalent(result_df(res), queries.Q6_SQL, lineitem=pdf)
 
     def test_oom_reported_not_silent(self, spark, store_root, lineitem_ds):
         """§3.3: the handler reports OOM 'to the driver rather than dying

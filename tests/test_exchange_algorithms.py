@@ -1,14 +1,32 @@
 """Grid/coordinate math and exact request counts of the exchange family."""
 import math
 
+import numpy as np
 import pytest
 
 from repro.exchange import algorithms as alg
 from repro.exchange.cost_model import table2_counts
 
 
+def coords(x: int, dims: tuple[int, ...]) -> tuple[int, ...]:
+    """Reference mixed-radix projection (generalised H_s; 2-level:
+    (x % s, x // s)), digit by digit, which the closed forms
+    ``alg.level_coords`` and ``alg.group_id`` must agree with."""
+    out = []
+    for d in dims:
+        out.append(x % d)
+        x //= d
+    return tuple(out)
+
+
+def reference_group_id(p: int, dims: tuple[int, ...], level: int) -> int:
+    """Linear index of p's coordinates with the ``level`` one removed."""
+    cs = coords(p, dims)
+    return from_coords(cs[:level] + cs[level + 1 :], dims[:level] + dims[level + 1 :])
+
+
 def from_coords(cs, dims) -> int:
-    """Inverse of the mixed-radix projection ``alg.coords``."""
+    """Inverse of the mixed-radix projection :func:`coords`."""
     x, mul = 0, 1
     for c, d in zip(cs, dims):
         if not 0 <= c < d:
@@ -21,7 +39,7 @@ def from_coords(cs, dims) -> int:
 def peer_with_coord(p: int, dims: tuple[int, ...], level: int, coord: int) -> int:
     """Routing oracle: the member of p's level group whose level coordinate
     is ``coord`` (the runner routes whole columns with ``level_coords``)."""
-    cs = list(alg.coords(p, dims))
+    cs = list(coords(p, dims))
     cs[level] = coord
     return from_coords(cs, dims)
 
@@ -59,15 +77,32 @@ class TestCoords:
     @pytest.mark.parametrize("p", [0, 1, 5, 15])
     def test_roundtrip_2d(self, p):
         dims = (4, 4)
-        assert from_coords(alg.coords(p, dims), dims) == p
+        assert from_coords(coords(p, dims), dims) == p
 
     def test_paper_projection(self):
         """H_s(x) = (x % s, x // s) for the 2-level case."""
-        assert alg.coords(13, (5, 4)) == (13 % 5, 13 // 5)
+        assert coords(13, (5, 4)) == (13 % 5, 13 // 5)
 
     def test_out_of_range_coordinate_rejected(self):
         with pytest.raises(ValueError):
             from_coords((5, 0), (4, 4))
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("p", [1, 2, 6, 12, 16, 27, 64, 100, 256, 1024])
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_match_the_digit_by_digit_reference(self, p, levels):
+        """``level_coords`` of a Python int and of a numpy array, and
+        ``group_id``, equal the reference projection for every ID."""
+        dims = alg.grid_dims(p, levels)
+        ids = np.arange(p)
+        for lvl in range(levels):
+            want = [coords(x, dims)[lvl] for x in range(p)]
+            assert [alg.level_coords(x, dims, lvl) for x in range(p)] == want
+            assert alg.level_coords(ids, dims, lvl).tolist() == want
+            assert [alg.group_id(x, dims, lvl) for x in range(p)] == [
+                reference_group_id(x, dims, lvl) for x in range(p)
+            ]
 
 
 class TestGroups:
@@ -76,7 +111,7 @@ class TestGroups:
         gid = alg.group_id(5, dims, 0)
         members = [p for p in range(16) if alg.group_id(p, dims, 0) == gid]
         assert len(members) == 4
-        assert all(alg.coords(m, dims)[1] == alg.coords(5, dims)[1] for m in members)
+        assert all(coords(m, dims)[1] == coords(5, dims)[1] for m in members)
         assert 5 in members
 
     def test_groups_partition_the_workers(self):
@@ -91,7 +126,7 @@ class TestGroups:
     def test_peer_with_coord(self):
         dims = (4, 4)
         q = peer_with_coord(5, dims, 0, 2)
-        assert alg.coords(q, dims) == (2, alg.coords(5, dims)[1])
+        assert coords(q, dims) == (2, coords(5, dims)[1])
 
     def test_routing_reaches_partition_after_all_levels(self):
         """After routing level-by-level, the holder equals the partition id."""
@@ -101,7 +136,7 @@ class TestGroups:
                 holder = 0  # start anywhere
                 for lvl in range(levels):
                     holder = peer_with_coord(
-                        holder, dims, lvl, alg.level_coord(pid, dims, lvl)
+                        holder, dims, lvl, alg.level_coords(pid, dims, lvl)
                     )
                 assert holder == pid
 

@@ -201,41 +201,35 @@ def test_every_knob_is_set_outside_tests():
 
 #: Spark calls whose function runs as a Python task on a worker
 TASK_CALLS = {"mapInArrow", "applyInArrow"}
+#: the one function that may make them: its tasks prepare the worker process
+TASK_OWNER = ("pytask.py", "run_on_workers")
 
 
-def _is_task(node) -> bool:
-    return getattr(node, "id", None) == "task" or getattr(node, "attr", None) == "task"
-
-
-def unwrapped_tasks() -> list[str]:
-    """``path:line`` of every task call in ``src/`` whose function is not
-    wrapped by ``pytask.task``, by ``task(fn)`` or by ``@task`` on its def."""
+def task_calls_outside_owner() -> list[str]:
+    """``path:line`` of every task call in ``src/`` outside
+    :data:`TASK_OWNER`'s body."""
     bad = []
     for path, tree in _parsed():
         if not path.is_relative_to(SRC):
             continue
-        decorated = {
-            n.name
-            for n in ast.walk(tree)
-            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and any(_is_task(d) for d in n.decorator_list)
-        }
+        rel = path.relative_to(SRC).as_posix()
+        owner = [
+            n for n in tree.body
+            if (rel, getattr(n, "name", None)) == TASK_OWNER and isinstance(n, ast.FunctionDef)
+        ]
         for node in ast.walk(tree):
             if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) in TASK_CALLS):
                 continue
-            fn = node.args[0] if node.args else None
-            wrapped = (isinstance(fn, ast.Call) and _is_task(fn.func)) or (
-                isinstance(fn, ast.Name) and fn.id in decorated
-            )
-            if not wrapped:
-                bad.append(f"{path.relative_to(SRC).as_posix()}:{node.lineno}")
+            if not any(o.lineno <= node.lineno <= o.end_lineno for o in owner):
+                bad.append(f"{rel}:{node.lineno}")
     return bad
 
 
-def test_every_spark_task_is_wrapped():
-    """A Spark Python task whose function is not wrapped re-reads every
-    import archive before it runs (see ``repro.pytask``)."""
-    assert unwrapped_tasks() == []
+def test_spark_tasks_run_only_through_run_on_workers():
+    """A Spark Python task that ``pytask.run_on_workers`` did not start
+    skips the worker-process preparation: its worker re-reads every import
+    archive before each task, and its heap is never frozen."""
+    assert task_calls_outside_owner() == []
 
 
 #: the modules of the Arrow pipeline that hand pandas frames to their callers

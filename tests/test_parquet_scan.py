@@ -45,6 +45,18 @@ def _read_all(op: ParquetScanOperator) -> pa.Table:
     return pa.concat_tables(list(op.tables()) or [op.empty_table()])
 
 
+def assert_duckdb_rows(got: pa.Table, pdf: pd.DataFrame, where: str) -> None:
+    """``got`` holds exactly DuckDB's rows of ``pdf`` under ``where``, in
+    ``got``'s columns."""
+    con = duckdb.connect()
+    try:
+        con.register("t", pdf)
+        want = con.execute(f"SELECT {', '.join(got.column_names)} FROM t WHERE {where}").fetchdf()
+    finally:
+        con.close()
+    pd.testing.assert_frame_equal(oracle._canon(got.to_pandas()), oracle._canon(want))
+
+
 @pytest.fixture(scope="module")
 def scan_env(tmp_path_factory):
     root = tmp_path_factory.mktemp("scanstore")
@@ -90,13 +102,14 @@ class TestCorrectness:
         assert len(tables) == N_FILES * ROW_GROUPS
 
     def test_predicate_does_not_drop_rows_only_groups(self, scan_env):
-        """Pruning is row-group granular: surviving groups keep all rows."""
+        """Pruning is row-group granular: the surviving group is read
+        whole, and the residual then keeps DuckDB's rows of it."""
         store, files, pdf = scan_env
-        op = ParquetScanOperator(store.client(), files, columns=COLUMNS, intervals=[("x", None, 1)])
-        got = _read_all(op).to_pandas()
-        rg_rows = N // (N_FILES * ROW_GROUPS)
-        assert len(got) == rg_rows
-        assert got["x"].max() < rg_rows
+        op = ParquetScanOperator(store.client(), files, columns=COLUMNS, residual=ex.col("x") <= 1)
+        got = _read_all(op)
+        assert op.metrics.row_groups_scanned == 1
+        assert op.metrics.rows_read == N // (N_FILES * ROW_GROUPS)
+        assert_duckdb_rows(got, pdf, "x <= 1")
 
     def test_empty_table_reads_one_footer_under_the_hint(self, tmp_path):
         """Without a scan before it, ``empty_table`` reads the first file's
@@ -169,10 +182,11 @@ class TestCorrectness:
 
     def test_empty_table_has_schema(self, scan_env):
         store, files, _ = scan_env
-        op = ParquetScanOperator(store.client(), files, columns=["y"], intervals=[("x", 10 * N, None)])
+        op = ParquetScanOperator(store.client(), files, columns=["x", "y"], residual=ex.col("x") >= 10 * N)
         out = _read_all(op)
         assert out.num_rows == 0
-        assert out.schema.names == ["y"]
+        assert op.metrics.pruned_all
+        assert out.schema.names == ["x", "y"]
 
 
 class TestPruning:
@@ -181,13 +195,14 @@ class TestPruning:
         [(N // 8 - 1, 1), (N // 2 - 1, 4), (N - 1, 8)],
     )
     def test_rowgroups_scanned_tracks_selectivity(self, scan_env, cutoff, expected_groups):
-        store, files, _ = scan_env
+        store, files, pdf = scan_env
         op = ParquetScanOperator(
-            store.client(), files, columns=COLUMNS, intervals=[("x", None, cutoff)]
+            store.client(), files, columns=COLUMNS, residual=ex.col("x") <= cutoff
         )
-        _read_all(op)
+        got = _read_all(op)
         assert op.metrics.row_groups_scanned == expected_groups
         assert op.metrics.row_groups_total == N_FILES * ROW_GROUPS
+        assert_duckdb_rows(got, pdf, f"x <= {cutoff}")
 
     def test_fully_pruned_file_costs_one_metadata_get(self, scan_env):
         """Fig 11: pruned workers 'load the metadata ... (inducing one
@@ -195,7 +210,7 @@ class TestPruning:
         store, files, _ = scan_env
         client = store.client()
         op = ParquetScanOperator(
-            client, files[-1:], columns=COLUMNS, intervals=[("x", None, 0)]
+            client, files[-1:], columns=COLUMNS, residual=ex.col("x") <= 0
         )
         out = _read_all(op)
         assert out.num_rows == 0
@@ -215,22 +230,28 @@ class TestPruning:
         )
         assert m.row_groups_scanned == 2
         assert m.row_groups_total == N_FILES * ROW_GROUPS
-        con = duckdb.connect()
-        try:
-            con.register("t", pdf)
-            want = con.execute(f"SELECT * FROM t WHERE x BETWEEN z AND {cutoff}").fetchdf()
-        finally:
-            con.close()
-        assert 0 < len(want) < cutoff + 1
-        pd.testing.assert_frame_equal(oracle._canon(rows.to_pandas()), oracle._canon(want))
+        assert 0 < rows.num_rows < cutoff + 1
+        assert_duckdb_rows(rows, pdf, f"x BETWEEN z AND {cutoff}")
 
-    def test_predicate_on_statless_column_keeps_groups(self, scan_env):
-        store, files, _ = scan_env
-        op = ParquetScanOperator(
-            store.client(), files, columns=COLUMNS, intervals=[("nosuchcol", None, 5)]
+    def test_predicate_on_statless_column_keeps_groups(self, tmp_path, scan_decisions):
+        """A conjunct whose column chunks have no statistics can neither
+        prune nor prove: every row group stays open to the residual."""
+        pdf = _frame()
+        store = S3Store(tmp_path)
+        store.create_bucket("d")
+        buf = io.BytesIO()
+        pq.write_table(
+            pa.Table.from_pandas(pdf, preserve_index=False), buf,
+            row_group_size=N // ROW_GROUPS, write_statistics=["y", "z", "tag"],
         )
-        _read_all(op)
-        assert op.metrics.row_groups_scanned == N_FILES * ROW_GROUPS
+        store.client().put("d", "nostats.parquet", buf.getvalue())
+        op = ParquetScanOperator(
+            store.client(), [("d", "nostats.parquet")], columns=COLUMNS, residual=ex.col("x") <= 5
+        )
+        got = _read_all(op)
+        assert op.metrics.row_groups_scanned == ROW_GROUPS
+        assert [len(d) for d in scan_decisions] == [1] * ROW_GROUPS
+        assert_duckdb_rows(got, pdf, "x <= 5")
 
 
 class TestRequestAccounting:
@@ -251,7 +272,7 @@ class TestRequestAccounting:
         _read_all(ParquetScanOperator(c_all, files, columns=COLUMNS, **self.IO))
         _read_all(
             ParquetScanOperator(
-                c_pruned, files, columns=COLUMNS, intervals=[("x", None, 1)], **self.IO
+                c_pruned, files, columns=COLUMNS, residual=ex.col("x") <= 1, **self.IO
             )
         )
         assert c_pruned.ledger.gets < c_all.ledger.gets

@@ -105,24 +105,28 @@ class TestPushdowns:
         assert phys.scan_columns == ["a", "b", "c", "k"]
 
     def test_prunable_conjuncts_become_prune_intervals(self):
+        """The scan prunes on the ``prune_interval()`` of each residual
+        conjunct that has one."""
         q = source().filter((col("a") <= lit(1)) & (col("b") * 2 >= lit(0)))
         phys = qc.compile_plan(q.plan)
-        assert phys.prune_intervals == [("a", None, 1)]
+        conjuncts = phys.residual_predicate.conjuncts()
+        assert [p.prune_interval() for p in conjuncts] == [("a", None, 1), None]
 
     def test_residual_keeps_all_conjuncts(self):
         q = source().filter((col("a") <= lit(1)) & (col("b") >= lit(2)))
         phys = qc.compile_plan(q.plan)
         assert set(phys.residual_predicate.columns()) == {"a", "b"}
-        assert len(phys.prune_intervals) == 2
+        assert len(phys.residual_predicate.conjuncts()) == 2
 
     def test_multiple_filters_merge(self):
         q = source().filter(col("a") <= lit(1)).filter(col("b") >= lit(2))
         phys = qc.compile_plan(q.plan)
-        assert phys.prune_intervals == [("a", None, 1), ("b", 2, None)]
+        conjuncts = phys.residual_predicate.conjuncts()
+        assert conjuncts == [col("a") <= lit(1), col("b") >= lit(2)]
+        assert [p.prune_interval() for p in conjuncts] == [("a", None, 1), ("b", 2, None)]
 
     def test_no_filter_means_no_predicate(self):
         phys = qc.compile_plan(source().plan)
-        assert phys.prune_intervals == []
         assert phys.residual_predicate is None
         assert phys.scan_columns is None  # reads every column
 

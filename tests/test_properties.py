@@ -14,7 +14,7 @@ from repro.core.expr import col
 from repro.exchange import algorithms as alg
 from repro.exchange import naming, serde
 from repro.s3.store import Ledger
-from tests.test_exchange_algorithms import from_coords, peer_with_coord
+from tests.test_exchange_algorithms import coords, from_coords, peer_with_coord
 
 
 class TestGridProperties:
@@ -28,7 +28,7 @@ class TestGridProperties:
     def test_coords_roundtrip(self, p, levels, data):
         dims = alg.grid_dims(p, levels)
         x = data.draw(st.integers(0, p - 1))
-        assert from_coords(alg.coords(x, dims), dims) == x
+        assert from_coords(coords(x, dims), dims) == x
 
     @given(p=st.integers(2, 400), levels=st.integers(1, 3), data=st.data())
     @settings(max_examples=100, deadline=None)
@@ -40,7 +40,7 @@ class TestGridProperties:
         holder = data.draw(st.integers(0, p - 1))
         for lvl in range(levels):
             holder = peer_with_coord(
-                holder, dims, lvl, alg.level_coord(pid, dims, lvl)
+                holder, dims, lvl, alg.level_coords(pid, dims, lvl)
             )
         assert holder == pid
 
@@ -48,11 +48,12 @@ class TestGridProperties:
     @settings(max_examples=100, deadline=None)
     def test_vectorised_routing_target_matches_level_coord(self, p, levels):
         """The runner routes a whole ``pid`` column at once; every target
-        must be the scalar routing coordinate, also for non-square P."""
+        must be the reference projection's coordinate, also for non-square
+        P."""
         dims = alg.grid_dims(p, levels)
         pids = np.arange(p, dtype=np.int32)
         for lvl in range(levels):
-            want = [alg.level_coord(x, dims, lvl) for x in range(p)]
+            want = [coords(x, dims)[lvl] for x in range(p)]
             assert alg.level_coords(pids, dims, lvl).tolist() == want
 
     @given(p=st.integers(2, 400), levels=st.integers(1, 3))

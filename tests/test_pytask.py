@@ -1,6 +1,6 @@
-"""Spark task start-up: ``pytask.task`` makes a worker process re-read its
-import archives only when they change and freezes its imported heap, and
-leaves the driver as it is.
+"""Spark task start-up: ``pytask.run_on_workers`` prepares each worker
+process once, so that it re-reads its import archives only when they change
+and freezes its imported heap, and leaves the driver as it is.
 
 The invalidation itself is checked in a fresh interpreter, so this pytest
 process is never patched; the Spark test counts archive reads rather than
@@ -17,12 +17,12 @@ import pyarrow as pa
 import pytest
 
 from repro import pytask
-from repro.pytask import task
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: imports a module from the archive, runs one wrapped task, then counts the
-#: archive reads of each ``importlib.invalidate_caches()`` that follows
+#: imports a module from the archive, prepares the process as a task's first
+#: ID does, then counts the archive reads of each
+#: ``importlib.invalidate_caches()`` that follows
 _SCRIPT = r"""
 import importlib, json, sys, zipfile, zipimport
 src, archive, version = sys.argv[1:4]
@@ -30,9 +30,9 @@ if version:
     sys.version_info = tuple(map(int, version.split(".")))
 sys.path[:0] = [src, archive]
 import m1
-from repro.pytask import task
+from repro import pytask
 stdlib = zipimport.zipimporter.invalidate_caches
-task(lambda arg: arg)(None)
+pytask._prepare()
 out = {"patched": zipimport.zipimporter.invalidate_caches is not stdlib}
 reads, read = [], zipimport._read_directory
 zipimport._read_directory = lambda path: reads.append(path) or read(path)
@@ -82,14 +82,12 @@ def test_class_left_as_is_on_cpython_3_13(tmp_path):
 def test_reused_worker_reads_archives_once(spark):
     """Every task of a reused Python worker calls ``invalidate_caches``;
     after its first task, which stamps every importer, the worker reads no
-    archive again. Unwrapped, it reads 16 per task."""
+    archive again. Unprepared, it reads 16 per task."""
 
-    def probe(batches):
+    def probe(p):
         import os
         import zipimport
 
-        for _ in batches:
-            pass
         read = zipimport._read_directory
         if not hasattr(read, "calls"):  # once per process
 
@@ -103,9 +101,10 @@ def test_reused_worker_reads_archives_once(spark):
         yield pa.record_batch([[os.getpid()], [calls]], names=["pid", "reads"])
 
     counts: dict[int, list[int]] = {}
+    n = spark.sparkContext.defaultParallelism  # one ID per task
     for _ in range(12):
-        (row,) = spark.range(0, 1, 1, 1).mapInArrow(task(probe), "pid long, reads long").collect()
-        counts.setdefault(row.pid, []).append(row.reads)
+        for row in pytask.run_on_workers(spark, n, probe, "pid long, reads long").collect():
+            counts.setdefault(row.pid, []).append(row.reads)
     reused = {pid: c for pid, c in counts.items() if len(c) >= 3}
     assert reused, counts
     for pid, c in reused.items():
@@ -139,7 +138,7 @@ def test_worker_processes_freeze_their_heap(spark, mq1):
 
 
 def test_driver_is_not_patched(mq1):
-    assert mq1.result.n_workers == 16  # the query ran its wrapped tasks
+    assert mq1.result.n_workers == 16  # the query ran its prepared tasks
     assert zipimport.zipimporter.invalidate_caches is pytask._EAGER
     assert pytask._EAGER.__module__ == "zipimport"
     assert gc.get_freeze_count() == 0

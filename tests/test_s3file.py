@@ -183,8 +183,10 @@ class TestRequestAccounting:
         assert counts == {2**16: 16, 2**18: 4}
 
     def test_invalid_chunk_size(self, blob_store):
-        store, data = blob_store
-        b = Blob(store, "b", "blob", data, chunk_bytes=0)
-        with pytest.raises(ValueError):
-            b.fetch((0, 10))
-        assert b.client.ledger.gets == 0
+        """The scan rejects a chunk size below one byte when it is built,
+        before the HEAD and footer GET of its first file."""
+        store, _ = blob_store
+        client = store.client()
+        with pytest.raises(ValueError, match="chunk_bytes"):
+            ParquetScanOperator(client, [("b", "blob")], columns=None, chunk_bytes=0)
+        assert client.ledger.requests == 0
