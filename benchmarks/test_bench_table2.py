@@ -25,9 +25,7 @@ def test_bench_table2_exchange(benchmark, spark, xdata, tmp_path_factory, spec):
     store = S3Store(tmp_path_factory.mktemp(f"bench-x-{spec.label}"))
 
     def run():
-        out, rep = runner.run_exchange(spark, xdata, P, spec, store)
-        out.unpersist()
-        return rep
+        return runner.run_exchange(spark, xdata, P, spec, store)[1]
 
     rep = benchmark.pedantic(run, rounds=1, iterations=1)
     exp = alg.expected_requests(P, spec)

@@ -47,8 +47,7 @@ def main(sf: float = 0.02) -> None:
     measured = []
     for spec in cost_model.ALL_SPECS:
         P = 27 if spec.levels == 3 else 16
-        out, rep = runner.run_exchange(spark, df, P, spec, store)
-        out.unpersist()
+        _, rep = runner.run_exchange(spark, df, P, spec, store)
         exp = alg.expected_requests(P, spec)
         measured.append(
             {

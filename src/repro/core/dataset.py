@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import pandas as pd
 import pyarrow as pa
@@ -62,7 +64,9 @@ def prepare_lineitem(
     prefix: str = "lineitem",
     seed: int = 0,
 ) -> tuple[DatasetInfo, pd.DataFrame]:
-    """Generate, sort, split, and upload LINEITEM; returns (info, sorted pdf)."""
+    """Generate, sort and split LINEITEM, encode its files on a thread per
+    core, then upload them in file order; returns (info, sorted pdf). A file's
+    bytes depend only on its rows, so they match a serial encode's."""
     pdf = synth_data.lineitem(spark, sf=sf, seed=seed).toPandas()
     pdf = pdf.sort_values(["l_shipdate", "l_orderkey", "l_linenumber"], kind="mergesort")
     pdf = pdf.reset_index(drop=True)
@@ -70,28 +74,34 @@ def prepare_lineitem(
     if n_files < 1 or n_files > n:
         raise ValueError(f"n_files={n_files} out of range for {n} rows")
 
-    store.create_bucket(bucket)
-    client = store.client()  # setup traffic; ledger not part of any query
-    keys, col_bytes, total_c, total_u = [], {}, 0, 0
     per_file = -(-n // n_files)
-    for i in range(n_files):
+    n_parts = -(-n // per_file)  # a trailing file would be empty: fewer files
+
+    def encode(i: int) -> tuple[bytes, pq.FileMetaData]:
         part = pdf.iloc[i * per_file : (i + 1) * per_file]
-        if part.empty:
-            break
-        tbl = pa.Table.from_pandas(part, preserve_index=False)
         buf = io.BytesIO()
         pq.write_table(
-            tbl,
+            pa.Table.from_pandas(part, preserve_index=False),
             buf,
             compression="gzip",  # the paper's gzip-compressed files (§5.1)
             row_group_size=max(1, -(-len(part) // row_groups_per_file)),
             write_statistics=True,
         )
         data = buf.getvalue()
+        return data, pq.ParquetFile(io.BytesIO(data)).metadata
+
+    # The Parquet writer releases the GIL, so the files compress on every
+    # core. All of them encode before the first PUT: a failure stores nothing.
+    with ThreadPoolExecutor(os.cpu_count()) as pool:
+        encoded = list(pool.map(encode, range(n_parts)))
+
+    store.create_bucket(bucket)
+    client = store.client()  # setup traffic; ledger not part of any query
+    keys, col_bytes, total_c, total_u = [], {}, 0, 0
+    for i, (data, meta) in enumerate(encoded):
         key = f"{prefix}/part-{i:05d}.parquet"
         client.put(bucket, key, data)
         keys.append(key)
-        meta = pq.ParquetFile(io.BytesIO(data)).metadata
         for rg in range(meta.num_row_groups):
             rgm = meta.row_group(rg)
             total_u += rgm.total_byte_size

@@ -45,11 +45,16 @@ def decode_lengths(s: str) -> list[int]:
     return [int(x) for x in s.split("-")] if s else []
 
 
+class KeyTooLong(ValueError):
+    """A write-combined key exceeds the 1 KiB S3 key limit."""
+
+
 def combined_key(run_id: str, level: int, gid: int, sender: int, lengths: list[int]) -> str:
-    """Write-combined file with part lengths encoded in the name."""
+    """Write-combined file with part lengths encoded in the name; raises
+    :class:`KeyTooLong` beyond :data:`MAX_KEY_BYTES`."""
     key = f"{group_prefix(run_id, level, gid)}s{sender}.o{encode_lengths(lengths)}"
     if len(key.encode()) > MAX_KEY_BYTES:
-        raise ValueError(
+        raise KeyTooLong(
             f"key of {len(key)} chars exceeds the 1 KiB S3 limit; "
             "group too large for filename-encoded offsets (paper §4.4.3)"
         )

@@ -26,7 +26,13 @@ Phases for a k-level exchange:
      partition ID, and writes one file per group member (or one combined file
      under write combining — offsets in the key, discovered via LIST);
   k+1. *collect*: every worker reads its final files and returns the rows
-     with their partition ID and its worker ID, which must be equal.
+     with their partition ID and its worker ID, which must be equal. The
+     output is not cached: its ``count()`` is the phase's barrier, and a
+     caller that evaluates it again reads the store again.
+
+Under write combining, the driver builds the longest key each level could
+write before the distribute job, so a group too large for the 1 KiB key
+limit fails before any worker PUTs (:class:`naming.KeyTooLong`).
 
 Workers add their request ledgers to one Spark accumulator per phase, so the
 ledgers return with the phase's job; the input-share writes and reads use
@@ -205,10 +211,18 @@ def run_exchange(
 
     Returns the collected output (the input columns, then ``pid`` and
     ``worker``, which must agree) and the request accounting. The output is
-    cached; the caller owns it and should ``unpersist()`` it when done. The
-    report is a snapshot: re-evaluating the output reads the store again but
-    does not change it. Raises ``TypeError`` before any Spark job when
-    :data:`KEY` is not a bigint column.
+    not cached: every evaluation reads the final level's files from the
+    store again. The report is a snapshot of the run, which such reads leave
+    as it is.
+
+    Raises ``TypeError`` before any Spark job when :data:`KEY` is not a
+    bigint column. Under write combining, raises :class:`naming.KeyTooLong`
+    after reading the input and before any worker job when a level's key
+    could exceed 1 KiB. That key has the level's largest group ID and sender
+    coordinate, and d part lengths of :func:`serde.max_frame_bytes` over the
+    input with P batches: a level-0 part is one batch, and each later level
+    concatenates one part from each of its senders, so no part holds more
+    batches than the product of the earlier levels' group sizes.
     """
     schema = df.schema
     key_type = schema[KEY].dataType
@@ -240,7 +254,16 @@ def run_exchange(
     # ---- phase 0: distribute input shares (the relation R of Algorithm 1).
     # toArrow runs the query Spark already planned for df; any plan stacked
     # on a local relation would be optimised again, rows and all.
-    relation = sc.broadcast(df.toArrow())
+    input_table = df.toArrow()
+    if spec.write_combining:
+        # the longest key each level could write, before any worker PUTs
+        bound = serde.max_frame_bytes(input_table, n_workers)
+        last = n_workers - 1  # has the largest group ID and coordinate
+        for level, d in enumerate(dims):
+            gid, me = alg.group_id(last, dims, level), alg.level_coords(last, dims, level)
+            naming.combined_key(run_id, level, gid, me, [bound] * d)
+    relation = sc.broadcast(input_table)
+    del input_table  # the workers read the broadcast; the driver keeps no copy
 
     def _distribute(p):
         table = relation.value
@@ -297,7 +320,7 @@ def run_exchange(
     out_schema = StructType(
         schema.fields + [StructField("pid", IntegerType()), StructField("worker", IntegerType())]
     )
-    out = run_on_workers(spark, n_workers, _collect, out_schema).cache()
+    out = run_on_workers(spark, n_workers, _collect, out_schema)
     n_out = out.count()
 
     # ---- accounting: snapshots, so re-evaluating ``out`` leaves them as is

@@ -111,6 +111,11 @@ class TestEngineMechanics:
         res = engine.run_query(spark, store_root, queries.listing1(src), files_per_worker=4)
         oracle.assert_equivalent(result_df(res), queries.LISTING1_SQL, lineitem=pdf)
 
+    def test_nothing_left_cached(self, spark, store_root, lineitem_ds):
+        info, _ = lineitem_ds
+        engine.run_query(spark, store_root, queries.q6(Lambada(store_root).from_files(info.files)))
+        assert spark._jsparkSession.sharedState().cacheManager().isEmpty()
+
     def test_fewer_workers_than_files(self, spark, store_root, lineitem_ds, result_df):
         info, pdf = lineitem_ds
         src = Lambada(store_root).from_files(info.files)

@@ -32,7 +32,7 @@ class TestNaming:
         """§4.4.3: 'file names are limited to 1 KiB, so this only works until
         at most a few hundred workers'."""
         lengths = list(range(10_000_000, 10_000_300))  # 300 8-digit offsets
-        with pytest.raises(ValueError):
+        with pytest.raises(naming.KeyTooLong):
             naming.combined_key("run", 0, 0, 0, lengths)
 
     def test_moderate_group_fits_the_limit(self):
@@ -76,6 +76,34 @@ class TestSerde:
             back = serde.bytes_to_frame(blob[off : off + ln])
             assert back.schema.equals(t.schema, check_metadata=True)
             assert back.equals(t, check_metadata=True)
+
+    def test_max_frame_bytes_bounds_every_subset(self):
+        """Any subset of a table's rows, in at most ``b`` batches, serialises
+        within ``max_frame_bytes(table, b)``: with strings, nulls, empty
+        batches and sliced buffers, from an input of two chunks."""
+        g = np.random.default_rng(7)
+        n = 300
+        words = np.array(["", "a", "bb", "lambada" * 5, None], dtype=object)
+        table = pa.table(
+            {
+                "k": g.integers(-50, 50, n),
+                "v": pa.array(np.where(g.random(n) < 0.2, None, g.random(n)), pa.float64()),
+                "s": pa.array(words[g.integers(0, 5, n)], pa.string()),
+            }
+        )
+        table = pa.concat_tables([table.slice(0, 100), table.slice(100)])
+        for _ in range(300):
+            picked = np.sort(g.choice(n, int(g.integers(0, n + 1)), replace=False))
+            if g.random() < 0.7:
+                rows = table.take(picked)
+            else:  # a slice shares the input's buffers, across both chunks
+                rows = table.slice(int(g.integers(0, n - len(picked) + 1)), len(picked))
+            cuts = [0, *np.sort(g.integers(0, rows.num_rows + 1, int(g.integers(0, 8)))), rows.num_rows]
+            part = pa.concat_tables([rows.slice(a, e - a) for a, e in zip(cuts, cuts[1:])])
+            batches = max(c.num_chunks for c in part.columns)
+            assert len(serde.frame_to_bytes(part)) <= serde.max_frame_bytes(table, batches)
+        empty = table.schema.empty_table()
+        assert len(serde.frame_to_bytes(empty)) <= serde.max_frame_bytes(empty, 1)
 
     def test_part_range_offsets_are_running_sums(self):
         lengths = [5, 0, 7]

@@ -8,6 +8,7 @@ and (c) issue exactly the request counts of `algorithms.expected_requests`
 import copy
 import functools
 import os
+import uuid
 
 import numpy as np
 import pandas as pd
@@ -18,7 +19,7 @@ from pyspark.sql import functions as F
 
 from repro import synth_data
 from repro.exchange import algorithms as alg
-from repro.exchange import naming, runner
+from repro.exchange import naming, runner, serde
 from repro.s3.store import Ledger, S3Store
 
 try:  # the class that runs the actions, as the benchmark's tracing wraps it
@@ -49,11 +50,29 @@ def xstore(tmp_path_factory):
 
 def _run(spark, xinput, xstore, spec, P):
     df, in_pdf = xinput
-    out, rep = runner.run_exchange(spark, df, P, spec, xstore)
+    run_id = uuid.uuid4().hex[:8]
+    out, rep = runner.run_exchange(spark, df, P, spec, xstore, run_id=run_id)
+    _assert_keys_within_bound(xstore, spec, run_id, serde.max_frame_bytes(df.toArrow(), P))
     # Spark's own partition function, evaluated over the output
     pdf = out.withColumn("spark_pid", F.pmod(F.xxhash64("k"), F.lit(P)).cast("int")).toPandas()
-    out.unpersist()
     return pdf, rep, in_pdf
+
+
+def _assert_keys_within_bound(store, spec, run_id, bound):
+    """Every part length in the write-combined keys the run stored is within
+    the bound the driver's key check assumed."""
+    if not spec.write_combining:
+        return
+    client = store.client()
+    keys = [
+        k
+        for b in naming.exchange_buckets(spec.n_buckets)
+        for k in client.list(b, f"{run_id}/l")
+    ]
+    assert keys
+    for key in keys:
+        _, lengths = naming.parse_combined(key)
+        assert max(lengths) <= bound
 
 
 def _assert_exact(rep, P, spec):
@@ -140,8 +159,7 @@ class TestDetails:
         each when level 0 reads it; no exchange request counts as input."""
         spec = alg.ExchangeSpec(1, False)
         store = S3Store(tmp_path)
-        out, rep = runner.run_exchange(spark, xinput[0], 8, spec, store, run_id="r")
-        out.unpersist()
+        _, rep = runner.run_exchange(spark, xinput[0], 8, spec, store, run_id="r")
         shares = _input_shares(store, spec, "r")
         assert shares
         assert rep.input_ledger.puts == rep.input_ledger.gets == len(shares)
@@ -151,8 +169,7 @@ class TestDetails:
         as they are: in order, in one record batch, no derived column."""
         spec, P = alg.ExchangeSpec(2, True), 16
         store = S3Store(tmp_path)
-        out, _ = runner.run_exchange(spark, xinput[0], P, spec, store, run_id="r")
-        out.unpersist()
+        runner.run_exchange(spark, xinput[0], P, spec, store, run_id="r")
         rows = xinput[0].toArrow()
         n = rows.num_rows
         client = store.client()
@@ -177,7 +194,6 @@ class TestDetails:
         store = S3Store(tmp_path)
         out, rep = runner.run_exchange(spark, xinput[0], 16, alg.ExchangeSpec(2, True), store)
         before = copy.deepcopy((rep.ledger, rep.per_phase, rep.input_ledger))
-        out.unpersist()
         assert out.count() == 8000
         assert (rep.ledger, rep.per_phase, rep.input_ledger) == before
         assert all(b.name.startswith("xbkt") for b in store.root.iterdir())
@@ -198,9 +214,8 @@ class TestCallPattern:
 
             monkeypatch.setattr(DataFrame, name, wrapped)
         spec = alg.ExchangeSpec(2, True)
-        out, _ = runner.run_exchange(spark, xinput[0], 16, spec, S3Store(tmp_path))
+        runner.run_exchange(spark, xinput[0], 16, spec, S3Store(tmp_path))
         monkeypatch.undo()
-        out.unpersist()
         assert calls == ["toPandas", "toArrow", "collect", "collect", "collect", "count"]
 
     def test_input_read_once(self, spark, xinput, tmp_path):
@@ -215,8 +230,7 @@ class TestCallPattern:
                 return getattr(self.df, name)
 
         df = Recorder(xinput[0])
-        out, rep = runner.run_exchange(spark, df, 16, alg.ExchangeSpec(2, True), S3Store(tmp_path))
-        out.unpersist()
+        _, rep = runner.run_exchange(spark, df, 16, alg.ExchangeSpec(2, True), S3Store(tmp_path))
         assert set(df.used) == {"schema", "toArrow"}
         assert df.used.count("toArrow") == 1
         assert rep.output_rows == 8000
@@ -249,9 +263,36 @@ class TestNothingLeftBehind:
             with pytest.raises(Exception, match="injected fault"):
                 run()
         else:
-            run()[0].unpersist()
+            run()
         assert len(made) == 1
         assert not os.path.exists(made[0]._path)
+
+
+    def test_output_not_cached(self, spark, xinput, tmp_path):
+        """The output is a plan over the store, not a cached frame: the run
+        leaves Spark's cache manager empty, and the output still evaluates."""
+        out, _ = runner.run_exchange(spark, xinput[0], 16, alg.ExchangeSpec(2, True), S3Store(tmp_path))
+        assert spark._jsparkSession.sharedState().cacheManager().isEmpty()
+        assert out.count() == 8000
+
+
+class TestKeyLimit:
+    def test_too_long_key_rejected_before_any_job(self, spark, xinput, tmp_path, monkeypatch):
+        """P = 256 in one level puts 256 part lengths in every key, past the
+        1 KiB limit: the driver raises before any worker job, so nothing is
+        stored (a level would otherwise fail after some workers PUT)."""
+        jobs = []
+        run_on_workers = runner.run_on_workers
+
+        def spy(*args, **kwargs):
+            jobs.append(args[2])
+            return run_on_workers(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_on_workers", spy)
+        with pytest.raises(naming.KeyTooLong, match="1 KiB"):
+            runner.run_exchange(spark, xinput[0], 256, alg.ExchangeSpec(1, True), S3Store(tmp_path))
+        assert jobs == []
+        assert not [f for f in tmp_path.rglob("*") if f.is_file()]
 
 
 class TestKeyType:
@@ -278,12 +319,8 @@ def test_empty_shares(spark, xinput, few_keys, xstore, spec):
     P = 16
     out, rep = runner.run_exchange(spark, few_keys[0], P, spec, xstore)
     ref, _ = runner.run_exchange(spark, xinput[0], P, spec, xstore)
-    try:
-        assert out.schema == ref.schema
-        pdf = out.toPandas()
-    finally:
-        out.unpersist()
-        ref.unpersist()
+    assert out.schema == ref.schema
+    pdf = out.toPandas()
     assert pdf["pid"].nunique() < P
     assert (pdf["pid"] == pdf["worker"]).all()
     a = pdf[["k", "v"]].sort_values(["k", "v"]).reset_index(drop=True)
@@ -304,10 +341,7 @@ def test_fewer_rows_than_workers(spark, tmp_path, spec):
     df = synth_data.uniform_keys(spark, n=5, n_keys=5, seed=3)
     store = S3Store(tmp_path)
     out, rep = runner.run_exchange(spark, df, P, spec, store, run_id="r")
-    try:
-        pdf = out.toPandas()
-    finally:
-        out.unpersist()
+    pdf = out.toPandas()
     assert len(_input_shares(store, spec, "r")) == 5
     assert rep.input_ledger.puts == rep.input_ledger.gets == 5
     assert (pdf["pid"] == pdf["worker"]).all()
@@ -321,10 +355,7 @@ def test_empty_input(spark, tmp_path):
     spec, P = alg.ExchangeSpec(2, True), 16
     df = spark.createDataFrame([], "k bigint, v double")
     out, rep = runner.run_exchange(spark, df, P, spec, S3Store(tmp_path))
-    try:
-        assert out.count() == 0
-    finally:
-        out.unpersist()
+    assert out.count() == 0
     assert rep.input_rows == rep.output_rows == 0
     assert rep.input_ledger == Ledger()
     _assert_exact(rep, P, spec)
